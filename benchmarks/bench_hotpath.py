@@ -105,6 +105,10 @@ CHECK_THRESHOLDS = {
     # round at the small local batch the tape targets (per-step framework
     # overhead dominant); measured ~1.3x as the median of paired rounds.
     "trace_replay": 1.15,
+    # REFD scoring through the forward-only inference lane vs eager
+    # forwards (10 FashionCNN updates x 1024 reference images, median of
+    # interleaved pairs); measured ~1.4x on a 2-core x86 host.
+    "refd_lane": 1.1,
 }
 
 
@@ -639,14 +643,47 @@ def _legacy_refd_score_updates(self, updates, images, context):
     return reports
 
 
+class _EagerForwardSession(nn_trace.ForwardSession):
+    """The inference lane with replay switched off: every forward is eager."""
+
+    def __init__(self, model) -> None:
+        super().__init__(model)
+        self.signature = None
+
+
+class _eager_tapes:
+    """Context manager pinning both trace engines to eager execution.
+
+    Training sessions are never created and the inference lane never binds
+    a plan, so every conv/linear runs through ``repro.nn.functional``.
+    """
+
+    def __enter__(self):
+        self._saved = (nn_trace.session_for, nn_trace.ForwardSession)
+        nn_trace.session_for = lambda model: None
+        nn_trace.ForwardSession = _EagerForwardSession
+        return self
+
+    def __exit__(self, *exc_info):
+        nn_trace.session_for, nn_trace.ForwardSession = self._saved
+
+
+def _replay_counts() -> Tuple[int, int]:
+    return nn_trace.trace_counters()["replays"], nn_trace.lane_counters()["replays"]
+
+
 class _legacy_kernels:
     """Context manager swapping the hot-path kernels back to their pre-PR
     implementations (conv, float64 flat-param transport, out-of-place SGD,
-    per-update REFD scoring) so the end-to-end comparison is machine-fair."""
+    per-update REFD scoring) so the end-to-end comparison is machine-fair.
+
+    The leg is fully eager: a replayed trace plan would bypass the patched
+    ``F.conv2d``, so both trace engines are pinned to eager inside, and
+    leaving the context asserts that no plan replayed.
+    """
 
     def __enter__(self):
         import repro.fl.executor as executor_module
-        import repro.fl.server as server_module
         from repro.nn.optim import SGD
 
         self._saved = (
@@ -661,13 +698,19 @@ class _legacy_kernels:
         executor_module.get_flat_params = _legacy_get_flat_params
         SGD.step = _legacy_sgd_step
         Refd.score_updates = _legacy_refd_score_updates
+        self._eager = _eager_tapes().__enter__()
+        self._replays = _replay_counts()
         return self
 
     def __exit__(self, *exc_info):
         import repro.fl.executor as executor_module
         from repro.nn.optim import SGD
 
+        replays = _replay_counts()
+        self._eager.__exit__(*exc_info)
         (F.conv2d, executor_module.get_flat_params, SGD.step, Refd.score_updates) = self._saved
+        if exc_info[0] is None and replays != self._replays:
+            raise AssertionError("a trace plan replayed inside the legacy (eager) leg")
 
 
 def bench_e2e_round(repeats: int) -> Dict[str, float]:
@@ -851,6 +894,72 @@ def bench_fault_hooks(repeats: int) -> Dict[str, float]:
     }
 
 
+def bench_refd_lane(repeats: int) -> Dict[str, float]:
+    """REFD scoring through the inference lane vs eager forwards.
+
+    ``Refd.score_updates`` of 10 FashionCNN updates on 1024 28×28 reference
+    images, once with the lane replaying its forward-only plans and once
+    with every forward eager (the same code with replay switched off).
+    Legs run in interleaved pairs and the headline is the median of the
+    per-pair ratios.  The two legs must produce identical reports.
+    """
+    factory = ClassifierFactory(
+        architecture="fashion-cnn", in_channels=1, image_size=28, num_classes=10, seed=0
+    )
+    rng = np.random.default_rng(0)
+    base = get_flat_params(factory())
+    updates = [
+        ModelUpdate(
+            client_id=i,
+            parameters=base + 0.05 * rng.standard_normal(base.shape).astype(np.float32),
+            num_samples=40,
+        )
+        for i in range(10)
+    ]
+    images = rng.standard_normal((1024, 1, 28, 28)).astype(np.float32)
+    defense = Refd(num_rejected=2)
+    context = DefenseContext(
+        round_number=0,
+        global_params=base,
+        expected_num_malicious=2,
+        rng=np.random.default_rng(0),
+        model_factory=factory,
+    )
+
+    def eager_round():
+        with _eager_tapes():
+            return defense.score_updates(updates, images, context)
+
+    def lane_round():
+        return defense.score_updates(updates, images, context)
+
+    nn_trace.reset_trace_cache()
+    eager_reports = eager_round()
+    lane_reports = lane_round()  # records the full-batch tape
+    assert lane_reports == eager_reports, "inference lane changed the REFD reports"
+    eager_times, lane_times, ratios = [], [], []
+    for _ in range(max(5, repeats // 2)):
+        start = time.perf_counter()
+        eager_round()
+        eager_s = time.perf_counter() - start
+        start = time.perf_counter()
+        lane_round()
+        lane_s = time.perf_counter() - start
+        eager_times.append(eager_s)
+        lane_times.append(lane_s)
+        ratios.append(eager_s / lane_s)
+    counters = nn_trace.lane_counters()
+    nn_trace.reset_trace_cache()
+    return {
+        "eager_s": float(np.median(eager_times)),
+        "lane_s": float(np.median(lane_times)),
+        "speedup": float(np.median(ratios)),
+        "plans_recorded": counters["plans_recorded"],
+        "replays": counters["replays"],
+        "hoisted_batches": counters["hoisted_batches"],
+    }
+
+
 def _trace_config():
     """FashionCNN/REFD round config for the trace-engine metrics.
 
@@ -1008,6 +1117,8 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
     # trace metrics run even under --skip-e2e.
     results["trace_replay"] = bench_trace_replay(repeats)
     results["trace_record_overhead"] = bench_trace_record_overhead(repeats)
+    # No legacy leg either: CI always gates the inference lane.
+    results["refd_lane"] = bench_refd_lane(repeats)
     site_records = _dispatch_site_records(results)
     if site_records:
         results["dispatch_sites"] = site_records
@@ -1036,6 +1147,7 @@ def _aggregate_speedups(results) -> Dict[str, float]:
         "fault_hooks",
         "trace_replay",
         "trace_record_overhead",
+        "refd_lane",
     ):
         if metric in results:
             headline[metric] = float(results[metric]["speedup"])
@@ -1155,6 +1267,16 @@ def render_table(results, headline) -> str:
                 "trace_replay(eager vs replay round)",
                 f"{numbers['eager_s'] * 1e6:.0f}",
                 f"{numbers['replay_s'] * 1e6:.0f}",
+                f"{numbers['speedup']:.2f}x",
+            ]
+        )
+    if "refd_lane" in results:
+        numbers = results["refd_lane"]
+        rows.append(
+            [
+                "refd_lane(eager vs lane scoring)",
+                f"{numbers['eager_s'] * 1e6:.0f}",
+                f"{numbers['lane_s'] * 1e6:.0f}",
                 f"{numbers['speedup']:.2f}x",
             ]
         )

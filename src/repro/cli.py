@@ -46,6 +46,7 @@ from .experiments.grid import GridExecutionError, GridRunner, expand_grid
 from .experiments.io import save_results, write_summary_csv
 from .fl.dispatch_policy import DispatchPolicy
 from .fl.faults import FaultPlan, ResilienceConfig
+from .nn.trace import lane_counters
 from .utils import format_table
 
 __all__ = ["main", "build_parser"]
@@ -107,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json",
         default=None,
         metavar="PATH",
-        help="write the dispatch decision trace and executor counters as JSON",
+        help="write the dispatch decision trace, executor counters and "
+        "inference-lane counters as JSON",
     )
     _add_resilience_args(run)
     run.add_argument(
@@ -391,7 +393,9 @@ def _run_single(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
+    lane_before = lane_counters()
     result = runner.run(config)
+    lane_after = lane_counters()
     rows = [
         ["clean accuracy acc (%)", 100.0 * (result.baseline_accuracy or 0.0)],
         ["max accuracy under attack acc_m (%)", 100.0 * result.max_accuracy],
@@ -404,8 +408,13 @@ def _run_single(args: argparse.Namespace) -> int:
     chaos = _chaos_summary(result.fault_stats)
     if chaos:
         print(chaos)
+    # Inference-lane counters of this process (REFD scoring that fans out
+    # to worker processes counts there, not here).
+    lane = {key: lane_after[key] - lane_before[key] for key in lane_after}
     _write_policy_stats(
-        policy, args.stats_json, extra={"fault_stats": dict(result.fault_stats)}
+        policy,
+        args.stats_json,
+        extra={"fault_stats": dict(result.fault_stats), "inference_lane": lane},
     )
     return 0
 

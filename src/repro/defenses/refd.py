@@ -14,18 +14,21 @@ computed from the predictions:
 They are combined into the F-beta-style **D-score** (Eq. 8) and the ``X``
 updates with the lowest D-scores are removed before FedAvg aggregation.
 
-Scoring is *batched*: one fused loop drives all candidate models through the
-reference set, reusing a single model instance and one preallocated
-probability buffer, and the balance/confidence/D-score statistics are then
-computed vectorized over the update axis.  When the round runs on a pooled
-executor, the per-update inference fans out across it instead:
-:func:`evaluate_update` is registered in the executor's named fan-out
-registry (:data:`EVALUATE_UPDATE_FANOUT`), so thread pools call it directly
-and *process* pools ship picklable envelopes — with the reference images
-read from the simulation's shared-memory shard store rather than pickled
-per update (see :meth:`Refd.score_updates`).  :class:`AdaptiveRefd` rides
-the same path: it scores through :meth:`Refd.score_updates` and only
-recombines the observed statistics after adapting α.
+Scoring is *batched*: every candidate update runs through one inference
+lane (:func:`~repro.fl.training.predict_candidates`), which replays a
+forward-only plan of the trace tape batch-major — each reference batch is
+bound once, then every update's parameter vector runs on it — and the
+balance/confidence/D-score statistics are then computed vectorized over the
+update axis.  When the round runs on a pooled executor, the per-update
+inference fans out across it instead: :func:`evaluate_update` (the same
+lane, one update) is registered in the executor's named fan-out registry
+(:data:`EVALUATE_UPDATE_FANOUT`), so thread pools call it directly and
+*process* pools ship picklable envelopes — with the reference images read
+from the simulation's shared-memory shard store rather than pickled per
+update (see :meth:`Refd.score_updates`).  Serial and pooled scoring are
+therefore bit-identical by construction.  :class:`AdaptiveRefd` rides the
+same path: it scores through :meth:`Refd.score_updates` and only recombines
+the observed statistics after adapting α.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from ..fl.executor import (
     resolve_shared_array,
 )
 from ..fl.types import AggregationResult, DefenseContext, ModelUpdate
-from ..nn.serialization import set_flat_params
 from .base import Defense
 
 __all__ = [
@@ -155,17 +157,18 @@ def evaluate_update(payload) -> Tuple[np.ndarray, np.ndarray, int]:
     :class:`~repro.fl.executor.SharedArrayRef` into the simulation's shard
     store, so process-pool fan-out ships only the update's parameter vector
     per work item.  Returns ``(argmax, max_prob, num_classes)`` over the
-    reference samples.
+    reference samples, computed by the same inference lane as the serial
+    loop in :meth:`Refd._evaluate_batched`.
     """
-    from ..fl.training import predict_proba  # local import to avoid cycles
+    from ..fl.training import predict_candidates  # local import to avoid cycles
 
     model_factory, parameters, images = payload
     if isinstance(images, SharedArrayRef):
         images = resolve_shared_array(images)
-    model = model_factory()
-    set_flat_params(model, parameters)
-    probs = predict_proba(model, images)
-    return probs.argmax(axis=1), probs.max(axis=1), probs.shape[1]
+    predicted, max_probs, num_classes = predict_candidates(
+        model_factory(), images, [parameters]
+    )
+    return predicted[0], max_probs[0], num_classes
 
 
 register_fanout_fn(EVALUATE_UPDATE_FANOUT, evaluate_update)
@@ -227,15 +230,16 @@ class Refd(Defense):
         images: np.ndarray,
         context: DefenseContext,
     ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Reference-set predictions of every update through one fused loop.
+        """Reference-set predictions of every update through the inference lane.
 
         Returns ``(predicted, max_probs, num_classes)`` where ``predicted``
         is the ``(num_updates, num_samples)`` argmax matrix and ``max_probs``
-        the matching maximum-probability matrix.  One model instance and one
-        probability buffer are reused across all updates; when the context's
-        dispatch policy routes the ``"refd"`` site to a pooled backend, the
-        per-update inference runs through :func:`evaluate_update` on that
-        pool instead — threads call it directly, the process backend ships
+        the matching maximum-probability matrix.  Serially, one
+        :func:`~repro.fl.training.predict_candidates` call scores every
+        update batch-major; when the context's dispatch policy routes the
+        ``"refd"`` site to a pooled backend, the per-update inference runs
+        through :func:`evaluate_update` (the same lane) on that pool
+        instead — threads call it directly, the process backend ships
         registry envelopes whose ``images`` element is the shared-memory
         reference ref when the simulation published one
         (``context.reference_ref``, used only when its shape matches
@@ -244,11 +248,11 @@ class Refd(Defense):
         gating lives in :meth:`DispatchPolicy.fanout
         <repro.fl.dispatch_policy.DispatchPolicy.fanout>`: a pickling
         backend without the by-reference hand-off falls back here (``rows is
-        None``) and the fused serial loop runs — inlining the reference
-        tensor into every envelope would re-ship it ``num_updates`` times
-        per round, which the serial loop beats.
+        None``) and the serial lane runs — inlining the reference tensor
+        into every envelope would re-ship it ``num_updates`` times per
+        round, which the serial lane beats.
         """
-        from ..fl.training import predict_proba  # local import to avoid cycles
+        from ..fl.training import predict_candidates  # local import to avoid cycles
 
         dispatch = dispatch_for(context)
         if dispatch is not None and len(updates) > 1:
@@ -273,24 +277,12 @@ class Refd(Defense):
             )
             if rows is not None:
                 predicted = np.stack([row[0] for row in rows], axis=0)
-                max_probs = np.stack([row[1] for row in rows], axis=0).astype(np.float64)
+                max_probs = np.stack([row[1] for row in rows], axis=0)
                 return predicted, max_probs, rows[0][2]
 
-        model = context.model_factory()
-        probs_buffer: Optional[np.ndarray] = None
-        predicted: Optional[np.ndarray] = None
-        max_probs: Optional[np.ndarray] = None
-        num_classes = 0
-        for index, update in enumerate(updates):
-            set_flat_params(model, update.parameters)
-            probs_buffer = predict_proba(model, images, out=probs_buffer)
-            if predicted is None:
-                num_classes = probs_buffer.shape[1]
-                predicted = np.empty((len(updates), probs_buffer.shape[0]), dtype=np.int64)
-                max_probs = np.empty((len(updates), probs_buffer.shape[0]), dtype=np.float64)
-            predicted[index] = probs_buffer.argmax(axis=1)
-            max_probs[index] = probs_buffer.max(axis=1)
-        return predicted, max_probs, num_classes
+        return predict_candidates(
+            context.model_factory(), images, [update.parameters for update in updates]
+        )
 
     def score_updates(
         self,

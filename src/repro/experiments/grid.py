@@ -912,15 +912,6 @@ class GridRunner:
                 decision.workers if decision.backend == "process" else 1
             )
 
-            # Publish every distinct dataset of the sweep once per host; the
-            # worker-pool initializer (or the in-process memo for workers=1)
-            # makes cells attach instead of regenerating.  Clean baselines
-            # share their cells' dataset fields, so they are covered too.
-            if self.share_datasets and remaining:
-                self._broker = DatasetBroker(use_shared_memory=self.workers > 1)
-                self._broker.publish([config for _, config in remaining])
-                stats.dataset_publications = self._broker.publications
-
             # Claim and execute in batches: without a ledger one batch covers
             # the whole grid (classic two-phase run); with one, small batches
             # let concurrent runners interleave through the grid instead of
@@ -931,6 +922,18 @@ class GridRunner:
                     remaining, batch_size, ledger, cached, stats
                 )
                 if batch:
+                    if self.share_datasets and self._broker is None:
+                        # Publish lazily, before the first cell this host
+                        # executes: every distinct dataset of the pending
+                        # cells once per host.  The worker-pool initializer
+                        # (or the in-process memo for workers=1) makes cells
+                        # attach instead of regenerating; clean baselines
+                        # share their cells' dataset fields.  A host whose
+                        # cells all come from the cache or from peers
+                        # publishes nothing.
+                        self._broker = DatasetBroker(use_shared_memory=self.workers > 1)
+                        self._broker.publish([config for _, config in batch + remaining])
+                        stats.dataset_publications = self._broker.publications
                     self._run_batch(batch, baselines, ledger, stats, failures, executed)
                     continue
                 if not remaining:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -11,10 +11,17 @@ from ..nn import functional as F
 from ..nn import trace as nn_trace
 from ..nn.modules import Module
 from ..nn.optim import SGD
+from ..nn.serialization import parameter_views
 from ..nn.tensor import Tensor, no_grad
 from .types import LocalTrainingConfig
 
-__all__ = ["train_on_arrays", "train_local_model", "evaluate_model", "predict_proba"]
+__all__ = [
+    "train_on_arrays",
+    "train_local_model",
+    "evaluate_model",
+    "predict_proba",
+    "predict_candidates",
+]
 
 
 def train_on_arrays(
@@ -111,36 +118,64 @@ def evaluate_model(model: Module, dataset, batch_size: int = 128) -> Tuple[float
     return correct / total, loss_sum / total
 
 
-def predict_proba(
-    model: Module,
-    images: np.ndarray,
-    batch_size: int = 256,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def predict_proba(model: Module, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Class-probability predictions of ``model`` for a batch of images.
 
-    Each batch's probabilities are written straight into one output matrix
-    (preallocated by the caller via ``out``, or allocated once after the
-    first batch reveals the class count) instead of growing a Python list
-    and concatenating at the end.
+    Each batch's probabilities are written straight into one output matrix,
+    allocated once the first batch reveals the class count.
     """
     model.eval()
     num_samples = images.shape[0]
-    if out is not None and (out.ndim != 2 or out.shape[0] != num_samples):
-        raise ValueError(
-            f"out buffer has shape {out.shape}, expected ({num_samples}, num_classes)"
-        )
+    out = np.empty((0, 0), dtype=np.float32)
     with no_grad():
         for start in range(0, num_samples, batch_size):
             logits = model(Tensor(images[start : start + batch_size]))
             probs = F.softmax(logits, axis=-1).data
-            if out is None:
+            if start == 0:
                 out = np.empty((num_samples, probs.shape[1]), dtype=probs.dtype)
-            elif out.shape[1] != probs.shape[1]:
-                raise ValueError(
-                    f"out buffer has {out.shape[1]} columns, model predicts {probs.shape[1]} classes"
-                )
             out[start : start + probs.shape[0]] = probs
-    if out is None:
-        out = np.empty((0, 0), dtype=np.float32)
     return out
+
+
+def predict_candidates(
+    model: Module,
+    images: np.ndarray,
+    parameter_vectors: Sequence[np.ndarray],
+    batch_size: int = 256,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Predicted labels and max class probabilities of many parameter sets.
+
+    The inference lane behind REFD: ``model``'s architecture is evaluated on
+    ``images`` once per flat vector of ``parameter_vectors``, looping
+    batch-major through one :class:`~repro.nn.trace.ForwardSession` — each
+    reference batch is bound once (its parameter-independent prefix runs
+    once), then every candidate runs on it with its vector bound as
+    zero-copy views.  Batching matches :func:`predict_proba`, and every
+    value is bit-identical to eager ``softmax(model(x))`` with that vector
+    loaded, whether a plan replays or the model falls back to eager.
+    ``model`` serves as a scratch instance: eager forwards rebind its
+    parameters to the candidates' views.
+
+    Returns ``(predicted, max_probs, num_classes)``: two
+    ``(len(parameter_vectors), len(images))`` matrices (int64 argmax, and
+    the max probability in the model's dtype) plus the class count.
+    """
+    model.eval()
+    bindings = [parameter_views(model, vector) for vector in parameter_vectors]
+    lane = nn_trace.ForwardSession(model)
+    num_samples = images.shape[0]
+    predicted = np.empty((len(bindings), num_samples), dtype=np.int64)
+    max_probs = np.empty((len(bindings), num_samples), dtype=np.float32)
+    num_classes = 0
+    with no_grad():
+        for start in range(0, num_samples, batch_size):
+            batch = images[start : start + batch_size]
+            stop = start + batch.shape[0]
+            for index, views in enumerate(bindings):
+                probs = F.softmax_array(lane.forward(batch, views))
+                if start == 0 and index == 0:
+                    num_classes = probs.shape[1]
+                    max_probs = max_probs.astype(probs.dtype, copy=False)
+                predicted[index, start:stop] = probs.argmax(axis=1)
+                max_probs[index, start:stop] = probs.max(axis=1)
+    return predicted, max_probs, num_classes

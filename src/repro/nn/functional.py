@@ -22,6 +22,7 @@ __all__ = [
     "avg_pool2d",
     "pad2d",
     "softmax",
+    "softmax_array",
     "log_softmax",
     "cross_entropy",
     "soft_cross_entropy",
@@ -323,12 +324,16 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
 # ----------------------------------------------------------------------
 # Softmax and losses
 # ----------------------------------------------------------------------
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of a plain array (the math of :func:`softmax`)."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    x_data = x.data
-    shifted = x_data - x_data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=axis, keepdims=True)
+    probs = softmax_array(x.data, axis)
 
     def backward(grad: np.ndarray):
         dot = (grad * probs).sum(axis=axis, keepdims=True)

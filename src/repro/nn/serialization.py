@@ -31,6 +31,7 @@ __all__ = [
     "FlatParams",
     "get_flat_params",
     "set_flat_params",
+    "parameter_views",
     "state_dict_to_vector",
     "vector_to_state_dict",
     "parameter_shapes",
@@ -189,6 +190,31 @@ def set_flat_params(module: Module, vector: np.ndarray) -> None:
         values = vector[offset : offset + count].reshape(param.data.shape)
         param.data = values.astype(param.data.dtype, copy=True)
         offset += count
+
+
+def parameter_views(module: Module, vector: np.ndarray) -> List[np.ndarray]:
+    """Zero-copy views of a flat vector, one per parameter of ``module``.
+
+    Each slice is reshaped to its parameter's shape; a slice whose dtype
+    differs from the parameter's is cast (a copy), exactly as
+    :func:`set_flat_params` casts it.  Binding these views instead of
+    copying lets inference run many parameter vectors through one module.
+    """
+    vector = np.asarray(vector)
+    params = module.parameters()
+    expected = sum(param.data.size for param in params)
+    if vector.size != expected:
+        raise ValueError(
+            f"flat vector has {vector.size} entries but the module has {expected} parameters"
+        )
+    views: List[np.ndarray] = []
+    offset = 0
+    for param in params:
+        count = param.data.size
+        piece = vector[offset : offset + count].reshape(param.data.shape)
+        views.append(piece.astype(param.data.dtype, copy=False))
+        offset += count
+    return views
 
 
 def state_dict_to_vector(

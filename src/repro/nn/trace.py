@@ -24,6 +24,15 @@ Lifecycle
    embedding lookups, any op without a descriptor) poison the recording
    and pin that signature to eager execution permanently.
 
+The same tape also drives the **inference lane** (:class:`ForwardSession`):
+a forward-only recording of ``model(x)`` compiles no VJP program and no
+gradient buffers, and splits its program at the parameter boundary — the
+parameter-independent prefix (input padding, first-layer im2col) runs once
+per input batch, the rest once per parameter binding.  REFD scores every
+candidate update through it batch by batch (see
+:func:`repro.fl.training.predict_candidates`).  Its counters live in
+:func:`lane_counters`, apart from the training counters.
+
 The backward schedule replicates ``Tensor.backward``'s DFS topological
 order and gradient-accumulation order exactly: "store" vs "add" per edge
 is resolved statically by simulating the eager algorithm on the recorded
@@ -51,9 +60,11 @@ __all__ = [
     "TraceSession",
     "register_trace_op",
     "registered_trace_ops",
+    "ForwardSession",
     "session_for",
     "reset_trace_cache",
     "trace_counters",
+    "lane_counters",
     "MAX_SIGNATURES_PER_MODEL",
 ]
 
@@ -150,33 +161,42 @@ class BackwardStep:
 
 
 class Trace:
-    """An immutable recorded tape plus its derived backward schedule."""
+    """An immutable recorded tape plus its derived backward schedule.
+
+    ``output_slot`` is the loss of a training tape, or the model output of
+    a ``forward_only`` tape (which has no backward schedule at all).
+    """
 
     def __init__(
         self,
         nodes: List[TraceNode],
         slots: List[SlotInfo],
-        loss_slot: int,
+        output_slot: int,
         input_slots: Dict[str, int],
         ext_slots: Dict[str, int],
         param_slots: List[Tuple[int, int]],
+        forward_only: bool = False,
     ) -> None:
         self.nodes = nodes
         self.slots = slots
-        self.loss_slot = loss_slot
+        self.output_slot = output_slot
         self.input_slots = input_slots
         self.ext_slots = ext_slots
         self.param_slots = param_slots  # (slot, parameter index) pairs
+        self.forward_only = forward_only
         self.forward_indices = self._needed_forward()
-        self.backward_steps, self.grad_param_slots = self._build_schedule()
+        self.backward_steps: List[BackwardStep] = []
+        self.grad_param_slots: List[Tuple[int, int]] = []
+        if not forward_only:
+            self.backward_steps, self.grad_param_slots = self._build_schedule()
 
     # -- schedule ------------------------------------------------------
     def _needed_forward(self) -> List[int]:
-        """Indices of nodes that feed the loss, in recorded order."""
+        """Indices of nodes that feed the output, in recorded order."""
         producer = {node.out: i for i, node in enumerate(self.nodes)}
-        if self.loss_slot not in producer:
-            raise TraceUnsupported("loss is not the output of a recorded op")
-        needed = {self.loss_slot}
+        if self.output_slot not in producer:
+            raise TraceUnsupported("output is not the result of a recorded op")
+        needed = {self.output_slot}
         for i in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[i]
             if node.out in needed:
@@ -195,7 +215,7 @@ class Trace:
 
         topo: List[int] = []
         visited: set = set()
-        stack: List[Tuple[int, bool]] = [(self.loss_slot, False)]
+        stack: List[Tuple[int, bool]] = [(self.output_slot, False)]
         while stack:
             slot, processed = stack.pop()
             if processed:
@@ -211,7 +231,7 @@ class Trace:
 
         steps: List[BackwardStep] = []
         grad_params: List[Tuple[int, int]] = []
-        present = {self.loss_slot}
+        present = {self.output_slot}
         for slot in reversed(topo):
             if slot not in present:
                 continue
@@ -356,14 +376,18 @@ class TraceRecorder:
         )
 
     # -- finalize ------------------------------------------------------
-    def finalize(self, loss: Tensor, model) -> Trace:
-        """Validate the recording against ``model`` and build the tape."""
+    def finalize(self, output: Tensor, model, forward_only: bool = False) -> Trace:
+        """Validate the recording against ``model`` and build the tape.
+
+        ``output`` is the scalar loss of a training step, or the model
+        output of a ``forward_only`` (inference) recording.
+        """
         if self.failed is not None:
             raise TraceUnsupported(self.failed)
-        loss_slot = self._slot_of.get(id(loss))
-        if loss_slot is None or self.slots[loss_slot].kind != KIND_NODE:
-            raise TraceUnsupported("loss tensor was not produced by a recorded op")
-        if int(np.prod(self.slots[loss_slot].shape)) != 1:
+        output_slot = self._slot_of.get(id(output))
+        if output_slot is None or self.slots[output_slot].kind != KIND_NODE:
+            raise TraceUnsupported("output tensor was not produced by a recorded op")
+        if not forward_only and int(np.prod(self.slots[output_slot].shape)) != 1:
             raise TraceUnsupported("loss must be a scalar")
         params = model.parameters()
         index_of = {id(param): i for i, param in enumerate(params)}
@@ -385,7 +409,16 @@ class TraceRecorder:
             if info.kind == KIND_INPUT
         }
         ext_slots = dict(self._ext_slot)
-        return Trace(self.nodes, self.slots, loss_slot, input_slots, ext_slots, param_slots)
+        missing = set(self.externals) - set(input_slots) - set(ext_slots)
+        if missing:
+            # A declared step array the ops never saw by identity (e.g. a
+            # dtype conversion copied it) would be baked into the tape as
+            # a constant of the recording step.
+            raise TraceUnsupported(f"step inputs {sorted(missing)} were not observed")
+        return Trace(
+            self.nodes, self.slots, output_slot, input_slots, ext_slots, param_slots,
+            forward_only=forward_only,
+        )
 
 
 class _FreezeError(ValueError):
@@ -458,8 +491,40 @@ class OpContext:
 
     # -- storage -------------------------------------------------------
     def alloc_out(self) -> np.ndarray:
-        """Stable plan-owned output buffer for this node's value."""
+        """Stable plan-owned output buffer for this node's value.
+
+        For a node the plan fused into its consumer conv's padded input
+        (see :meth:`CompiledPlan._pad_fusions`) this is the interior view
+        of that zero-bordered buffer, so the value lands pre-padded.
+        """
         return self._plan._buffer(self.out)
+
+    def padded_input(self) -> np.ndarray:
+        """This conv node's zero-bordered input buffer (parent 0, padded).
+
+        Borders are zeroed once at allocation and never written again.
+        """
+        return self._plan._padded(self.node_index)
+
+    def input_in_place(self) -> bool:
+        """Whether parent 0's producer already writes into :meth:`padded_input`."""
+        return self._plan._in_place.get(self.parents[0]) == self.node_index
+
+    def is_static(self, slot: int) -> bool:
+        """Whether ``slot`` stays fixed across :meth:`CompiledPlan.forward` calls.
+
+        True only in forward-only plans, for values computed from the
+        bound inputs and constants alone (no parameter upstream).
+        """
+        return slot in self._plan._static
+
+    def hoist(self, fn: Callable) -> None:
+        """Run ``fn(vals)`` once per input binding instead of once per step.
+
+        For the parameter-independent part of a kernel whose inputs are all
+        :meth:`is_static` (the conv's padding and im2col of the input batch).
+        """
+        self._plan._prefix_program.append(fn)
 
     def scratch(self, name: str, shape, dtype) -> np.ndarray:
         """Per-node saved/scratch buffer (shared between forward and VJP)."""
@@ -508,7 +573,16 @@ class OpContext:
 
 
 class CompiledPlan:
-    """A trace bound to preallocated buffers and compiled step programs."""
+    """A trace bound to preallocated buffers and compiled step programs.
+
+    Training plans replay forward + VJP per step (:meth:`run`).  Forward-only
+    plans (``trace.forward_only``) compile no VJP program and no gradient
+    buffers, and split the forward program at the parameter boundary:
+    :meth:`bind_inputs` runs the parameter-independent prefix once per
+    input batch, :meth:`forward` runs the rest once per parameter binding.
+    Both the hoist and the ReLU-into-pad fusion are decided from the tape's
+    dataflow alone.
+    """
 
     def __init__(self, trace: Trace, xp: Optional[ArrayBackend] = None) -> None:
         self.trace = trace
@@ -520,24 +594,54 @@ class CompiledPlan:
         for slot, info in enumerate(trace.slots):
             if info.kind == KIND_CONST:
                 self._vals[slot] = info.const
-        # The root gradient: eager seeds backward() with ones.
-        loss_info = trace.slots[trace.loss_slot]
-        root = self.xp.empty(loss_info.shape, loss_info.dtype)
-        self.xp.copyto(root, 1.0)
-        self.grads[trace.loss_slot] = root
+        self._static: set = set()
+        self._in_place: Dict[int, int] = {}
+        if trace.forward_only:
+            self._static = {
+                slot
+                for slot, info in enumerate(trace.slots)
+                if info.kind in (KIND_INPUT, KIND_CONST)
+            }
+            self._in_place = self._pad_fusions()
+        else:
+            # The root gradient: eager seeds backward() with ones.
+            loss_info = trace.slots[trace.output_slot]
+            root = self.xp.empty(loss_info.shape, loss_info.dtype)
+            self.xp.copyto(root, 1.0)
+            self.grads[trace.output_slot] = root
+        self._prefix_program: List[Callable] = []
         self._forward_program: List[Callable] = []
         self._backward_program: List[Callable] = []
         self.steps_replayed = 0
         self._compile()
-        self._loss_buf = self._vals_buffer_for_loss()
+        if not trace.forward_only:
+            self._loss_buf = self._vals_buffer_for_loss()
 
     # -- storage helpers ----------------------------------------------
     def _buffer(self, slot: int) -> np.ndarray:
         buf = self.buffers.get(slot)
         if buf is None:
-            info = self.trace.slots[slot]
-            buf = self.xp.empty(info.shape, info.dtype)
+            consumer = self._in_place.get(slot)
+            if consumer is not None:
+                padding = self.trace.nodes[consumer].kwargs["padding"]
+                buf = self._padded(consumer)[:, :, padding:-padding, padding:-padding]
+            else:
+                info = self.trace.slots[slot]
+                buf = self.xp.empty(info.shape, info.dtype)
             self.buffers[slot] = buf
+        return buf
+
+    def _padded(self, node_index: int) -> np.ndarray:
+        key = (node_index, "padded")
+        buf = self.saved.get(key)
+        if buf is None:
+            node = self.trace.nodes[node_index]
+            padding = node.kwargs["padding"]
+            info = self.trace.slots[node.parents[0]]
+            n, c, h, w = info.shape
+            buf = self.xp.empty((n, c, h + 2 * padding, w + 2 * padding), info.dtype)
+            self.xp.copyto(buf, 0.0)
+            self.saved[key] = buf
         return buf
 
     def _scratch(self, node_index: int, name: str, shape, dtype) -> np.ndarray:
@@ -557,10 +661,38 @@ class CompiledPlan:
         return buf
 
     def _vals_buffer_for_loss(self) -> np.ndarray:
-        buf = self.buffers.get(self.trace.loss_slot)
+        buf = self.buffers.get(self.trace.output_slot)
         if buf is None:
             raise TraceUnsupported("loss op did not allocate a stable output buffer")
         return buf
+
+    def _pad_fusions(self) -> Dict[int, int]:
+        """ReLU outputs to write straight into a consumer conv's padded input.
+
+        A relu whose only consumer is a padded conv2d reading it as its
+        input (parent 0), and which is not the plan output, computes the
+        eager ``x * (x > 0)`` into the interior of that conv's zero-bordered
+        buffer, so the conv skips its interior copy.  Maps the relu's
+        output slot to the conv's node index.
+        """
+        nodes = self.trace.nodes
+        uses: Dict[int, List[Tuple[int, int]]] = {}
+        for index in self.trace.forward_indices:
+            for pos, parent in enumerate(nodes[index].parents):
+                uses.setdefault(parent, []).append((index, pos))
+        fused: Dict[int, int] = {}
+        for index in self.trace.forward_indices:
+            node = nodes[index]
+            if node.op != "relu" or node.out == self.trace.output_slot:
+                continue
+            consumers = uses.get(node.out, [])
+            if len(consumers) != 1:
+                continue
+            consumer, pos = consumers[0]
+            target = nodes[consumer]
+            if pos == 0 and target.op == "conv2d" and target.kwargs["padding"]:
+                fused[node.out] = consumer
+        return fused
 
     # -- compilation ---------------------------------------------------
     def _compile(self) -> None:
@@ -570,7 +702,12 @@ class CompiledPlan:
             if spec is None:
                 raise TraceUnsupported(f"op '{node.op}' has no registered trace kernels")
             ctx = OpContext(self, node_index, backward=False)
-            self._forward_program.append(spec.forward(self.xp, ctx))
+            fn = spec.forward(self.xp, ctx)
+            if all(parent in self._static for parent in node.parents):
+                self._static.add(node.out)
+                self._prefix_program.append(fn)
+            else:
+                self._forward_program.append(fn)
         for step in self.trace.backward_steps:
             node = self.trace.nodes[step.node_index]
             spec = OP_REGISTRY[node.op]
@@ -579,12 +716,34 @@ class CompiledPlan:
             self._backward_program.append(spec.vjp(self.xp, ctx))
 
     # -- execution -----------------------------------------------------
+    def bind_inputs(self, arrays: Dict[str, np.ndarray]) -> bool:
+        """Bind the step inputs and run the hoisted prefix; True if it did work."""
+        vals = self._vals
+        for name, slot in self.trace.input_slots.items():
+            vals[slot] = arrays[name]
+        for fn in self._prefix_program:
+            fn(vals)
+        return bool(self._prefix_program)
+
+    def forward(self, params: Sequence[np.ndarray]) -> np.ndarray:
+        """Replay the forward program with ``params`` (arrays, by parameter index).
+
+        Returns the output value, which lives in plan storage: it is
+        overwritten by the next call.
+        """
+        vals = self._vals
+        for slot, param_index in self.trace.param_slots:
+            vals[slot] = params[param_index]
+        for fn in self._forward_program:
+            fn(vals)
+        self.steps_replayed += 1
+        return vals[self.trace.output_slot]
+
     def run(self, arrays: Dict[str, np.ndarray], params: Sequence) -> float:
         """Replay one training step; leaves gradients on ``params``."""
         vals = self._vals
         trace = self.trace
-        for name, slot in trace.input_slots.items():
-            vals[slot] = arrays[name]
+        self.bind_inputs(arrays)
         for name, slot in trace.ext_slots.items():
             vals[slot] = arrays[name]
         for slot, param_index in trace.param_slots:
@@ -614,13 +773,28 @@ _CACHE_LOCK = threading.Lock()
 _TRACES: Dict[tuple, Union[Trace, str]] = {}
 _SIGNATURE_COUNTS: Dict[object, int] = {}
 _COUNTERS = {"records": 0, "replays": 0, "fallbacks": 0}
+_LANE_COUNTERS = {"plans_recorded": 0, "replays": 0, "fallbacks": 0, "hoisted_batches": 0}
 _THREAD_PLANS = threading.local()
 
 
 def trace_counters() -> Dict[str, int]:
-    """Snapshot of record/replay/fallback counts (tests and benchmarks)."""
+    """Snapshot of training-step record/replay/fallback counts."""
     with _CACHE_LOCK:
         return dict(_COUNTERS)
+
+
+def lane_counters() -> Dict[str, int]:
+    """Snapshot of the inference lane's counters (:class:`ForwardSession`).
+
+    ``plans_recorded`` forward-only tapes recorded and compiled;
+    ``replays`` forwards served by a plan; ``fallbacks`` forwards run
+    eagerly for lack of one (no ``trace_signature``, an untraceable op, the
+    signature cap); ``hoisted_batches`` batch bindings whose plan ran a
+    parameter-independent prefix.  Kept apart from :func:`trace_counters`,
+    whose keys all count training steps.
+    """
+    with _CACHE_LOCK:
+        return dict(_LANE_COUNTERS)
 
 
 def reset_trace_cache() -> None:
@@ -628,14 +802,39 @@ def reset_trace_cache() -> None:
     with _CACHE_LOCK:
         _TRACES.clear()
         _SIGNATURE_COUNTS.clear()
-        for key in _COUNTERS:
-            _COUNTERS[key] = 0
+        for counters in (_COUNTERS, _LANE_COUNTERS):
+            for key in counters:
+                counters[key] = 0
     _THREAD_PLANS.__dict__.clear()
 
 
 def _bump(counter: str) -> None:
     with _CACHE_LOCK:
         _COUNTERS[counter] += 1
+
+
+def _bump_lane(counter: str) -> None:
+    with _CACHE_LOCK:
+        _LANE_COUNTERS[counter] += 1
+
+
+def _reserve_signature(cap_key, key: tuple) -> Optional[int]:
+    """Tapes already recorded under ``cap_key``, or None at the cap.
+
+    At the cap, ``key`` is pinned to eager execution.
+    """
+    with _CACHE_LOCK:
+        count = _SIGNATURE_COUNTS.get(cap_key, 0)
+        if count >= MAX_SIGNATURES_PER_MODEL:
+            _TRACES[key] = "signature cap reached"
+            return None
+        return count
+
+
+def _store_trace(cap_key, key: tuple, trace: Trace, count: int) -> None:
+    with _CACHE_LOCK:
+        _TRACES[key] = trace
+        _SIGNATURE_COUNTS[cap_key] = count + 1
 
 
 def session_for(model) -> Optional["TraceSession"]:
@@ -651,15 +850,13 @@ def session_for(model) -> Optional["TraceSession"]:
     return TraceSession(model, signature)
 
 
-class TraceSession:
+class _PlanSession:
     """Per-model-instance handle onto the process-wide trace cache.
 
-    Tapes are cached by ``(model signature, input/target shape+dtype)``
-    and shared across model instances and threads; compiled plans (which
-    own mutable buffers) are per-thread.  Binding a cached tape to this
-    session's model only requires the parameter list to match in shape
-    and dtype — parameter *values* are read live from ``param.data`` on
-    every step, so ``set_flat_params`` swaps between rounds just work.
+    Tapes are shared across model instances and threads; compiled plans
+    own mutable buffers, so each lives in one thread's
+    :meth:`_plan_store`.  Binding a cached tape to this session's model
+    only requires the parameter list to match in shape and dtype.
     """
 
     def __init__(self, model, signature) -> None:
@@ -667,6 +864,52 @@ class TraceSession:
         self.signature = signature
         self._params = model.parameters()
         self._validated: set = set()
+
+    def _plan_store(self) -> Dict[tuple, CompiledPlan]:
+        raise NotImplementedError
+
+    def _plan(self, key: tuple, trace: Trace) -> Optional[CompiledPlan]:
+        if key not in self._validated:
+            if not self._binds(trace):
+                return None
+            self._validated.add(key)
+        plans = self._plan_store()
+        plan = plans.get(key)
+        if plan is None:
+            try:
+                plan = CompiledPlan(trace)
+            except TraceUnsupported:
+                return None
+            plans[key] = plan
+        return plan
+
+    def _binds(self, trace: Trace) -> bool:
+        for slot, param_index in trace.param_slots:
+            if param_index >= len(self._params):
+                return False
+            info = trace.slots[slot]
+            param = self._params[param_index]
+            if param.data.shape != info.shape or param.data.dtype != info.dtype:
+                return False
+        return True
+
+
+class TraceSession(_PlanSession):
+    """Recorded-tape training steps for one model instance.
+
+    Tapes are cached by ``(model signature, input/target shape+dtype)``.
+    Parameter *values* are read live from ``param.data`` on every step, so
+    ``set_flat_params`` swaps between rounds just work.
+    """
+
+    def _plan_store(self) -> Dict[tuple, CompiledPlan]:
+        # Per thread and kept for the process: every client's local
+        # training reuses the same few batch signatures.
+        plans = getattr(_THREAD_PLANS, "plans", None)
+        if plans is None:
+            plans = {}
+            _THREAD_PLANS.plans = plans
+        return plans
 
     # -- keys ----------------------------------------------------------
     def _key(self, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -696,12 +939,10 @@ class TraceSession:
 
     # -- record --------------------------------------------------------
     def _record(self, key: tuple, x: np.ndarray, y: np.ndarray) -> Optional[float]:
-        with _CACHE_LOCK:
-            count = _SIGNATURE_COUNTS.get(self.signature, 0)
-            if count >= MAX_SIGNATURES_PER_MODEL:
-                _TRACES[key] = "signature cap reached"
-                _COUNTERS["fallbacks"] += 1
-                return None
+        count = _reserve_signature(self.signature, key)
+        if count is None:
+            _bump("fallbacks")
+            return None
         from . import functional as F
 
         recorder = TraceRecorder({"x": x, "y": y})
@@ -723,46 +964,11 @@ class TraceSession:
                 _TRACES[key] = str(exc)
                 _COUNTERS["fallbacks"] += 1
             return loss_value
-        with _CACHE_LOCK:
-            _TRACES[key] = trace
-            _SIGNATURE_COUNTS[self.signature] = count + 1
-            _COUNTERS["records"] += 1
-        self._thread_plans()[key] = plan
+        _store_trace(self.signature, key, trace, count)
+        _bump("records")
+        self._plan_store()[key] = plan
         self._validated.add(key)
         return loss_value
-
-    # -- plans ---------------------------------------------------------
-    def _thread_plans(self) -> Dict[tuple, CompiledPlan]:
-        plans = getattr(_THREAD_PLANS, "plans", None)
-        if plans is None:
-            plans = {}
-            _THREAD_PLANS.plans = plans
-        return plans
-
-    def _plan(self, key: tuple, trace: Trace) -> Optional[CompiledPlan]:
-        if key not in self._validated:
-            if not self._binds(trace):
-                return None
-            self._validated.add(key)
-        plans = self._thread_plans()
-        plan = plans.get(key)
-        if plan is None:
-            try:
-                plan = CompiledPlan(trace)
-            except TraceUnsupported:
-                return None
-            plans[key] = plan
-        return plan
-
-    def _binds(self, trace: Trace) -> bool:
-        for slot, param_index in trace.param_slots:
-            if param_index >= len(self._params):
-                return False
-            info = trace.slots[slot]
-            param = self._params[param_index]
-            if param.data.shape != info.shape or param.data.dtype != info.dtype:
-                return False
-        return True
 
     # -- introspection (tests, benchmarks) -----------------------------
     def plan_for(self, x: np.ndarray, y: np.ndarray) -> Optional[CompiledPlan]:
@@ -779,6 +985,113 @@ class TraceSession:
         with _CACHE_LOCK:
             entry = _TRACES.get(self._key(x, y))
         return entry if isinstance(entry, str) else None
+
+
+class ForwardSession(_PlanSession):
+    """The inference lane: ``model(x)`` under many parameter bindings.
+
+    :meth:`forward` evaluates the model on a batch with a given parameter
+    list.  The first call on an unseen batch signature records a
+    forward-only tape (eagerly, so it is also an ordinary forward); later
+    calls replay its compiled plan.  The plan's parameter-independent
+    prefix runs once per bound batch, so callers loop batch-major: bind a
+    batch, then run every parameter set on it.  A model without a
+    ``trace_signature``, or a recording that hit an untraceable op, runs
+    eagerly with the parameters bound into the model.  Replay is
+    bit-identical to eager ``model(Tensor(x))``.  Call under
+    :class:`~repro.nn.tensor.no_grad`.
+
+    Compiled plans belong to the session, not the thread: their buffers are
+    freed with it, so they never stay resident through the rest of a round
+    (compiling a cached tape costs far less than one batch's inference).
+    """
+
+    def __init__(self, model) -> None:
+        super().__init__(model, getattr(model, "trace_signature", None))
+        self._plans: Dict[tuple, CompiledPlan] = {}
+        self._x: Optional[np.ndarray] = None
+        self._bound: Optional[CompiledPlan] = None
+        self._record_key: Optional[tuple] = None
+
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> np.ndarray:
+        """Model output on ``x`` with ``params`` (arrays in parameter order).
+
+        ``x`` is bound by identity until a different array is passed, so it
+        must not be mutated in between.  The returned array may be plan
+        storage, valid until the next call.
+        """
+        if x is not self._x:
+            self._bind(x)
+        if self._bound is not None:
+            _bump_lane("replays")
+            return self._bound.forward(params)
+        for param, value in zip(self._params, params):
+            param.data = value
+        if self._record_key is not None:
+            return self._record(x)
+        _bump_lane("fallbacks")
+        return self.model(Tensor(x)).data
+
+    def _plan_store(self) -> Dict[tuple, CompiledPlan]:
+        return self._plans
+
+    def _key(self, x: np.ndarray) -> tuple:
+        return ("forward", self.signature, x.shape, x.dtype.str)
+
+    def _bind(self, x: np.ndarray) -> None:
+        self._x, self._bound, self._record_key = x, None, None
+        if self.signature is None:
+            return
+        key = self._key(x)
+        with _CACHE_LOCK:
+            entry = _TRACES.get(key)
+        if entry is None:
+            self._record_key = key
+        elif not isinstance(entry, str):
+            self._attach(self._plan(key, entry), x)
+
+    def _attach(self, plan: Optional[CompiledPlan], x: np.ndarray) -> None:
+        if plan is not None and plan.bind_inputs({"x": x}):
+            _bump_lane("hoisted_batches")
+        self._bound = plan
+
+    def _record(self, x: np.ndarray) -> np.ndarray:
+        key, self._record_key = self._record_key, None
+        cap_key = key[:2]
+        count = _reserve_signature(cap_key, key)
+        if count is None:
+            _bump_lane("fallbacks")
+            return self.model(Tensor(x)).data
+        recorder = TraceRecorder({"x": x})
+        tensor_module._TRACE_STATE.recorder = recorder
+        try:
+            output = self.model(Tensor(x))
+        finally:
+            tensor_module._TRACE_STATE.recorder = None
+        try:
+            trace = recorder.finalize(output, self.model, forward_only=True)
+            plan = CompiledPlan(trace)
+        except TraceUnsupported as exc:
+            with _CACHE_LOCK:
+                _TRACES[key] = str(exc)
+            _bump_lane("fallbacks")
+            return output.data
+        _store_trace(cap_key, key, trace, count)
+        _bump_lane("plans_recorded")
+        self._plans[key] = plan
+        self._validated.add(key)
+        self._attach(plan, x)
+        return output.data
+
+    # -- introspection (tests) -----------------------------------------
+    def plan_for(self, x: np.ndarray) -> Optional[CompiledPlan]:
+        """The thread-local forward-only plan for this batch signature, if any."""
+        key = self._key(x)
+        with _CACHE_LOCK:
+            entry = _TRACES.get(key)
+        if entry is None or isinstance(entry, str):
+            return None
+        return self._plan(key, entry)
 
 
 # Kernel registrations live in trace_ops; importing it populates

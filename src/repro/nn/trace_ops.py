@@ -543,39 +543,47 @@ def _forward_conv2d(xp, ctx):
     o = ctx.out
 
     if padding:
-        padded = ctx.scratch(
-            "padded", (n, c, h + 2 * padding, w + 2 * padding), ctx.dtype(x_slot)
-        )
-        # Borders are written once here and never touched again; only the
-        # interior is refreshed per step, matching np.pad's zero borders.
-        xp.copyto(padded, 0.0)
+        # Borders are zeroed once when the plan allocates the buffer and
+        # never touched again; only the interior is refreshed per step,
+        # matching np.pad's zero borders.  When the producer of the input
+        # already writes into that interior (a fused ReLU), the copy goes.
+        padded = ctx.padded_input()
         interior = padded[:, :, padding:-padding, padding:-padding]
+        copy_in = not ctx.input_in_place()
         windows = xp.sliding_window_view(padded, (kh, kw), axis=(2, 3))
         if stride > 1:
             windows = windows[:, :, ::stride, ::stride]
         windows_t = windows.transpose(0, 1, 4, 5, 2, 3)
 
-        def run(vals):
-            xp.copyto(interior, vals[x_slot])
+        def columns(vals):
+            if copy_in:
+                xp.copyto(interior, vals[x_slot])
             xp.copyto(cols6, windows_t)
-            w_mat = vals[w_slot].reshape(out_channels, features)
-            xp.matmul(w_mat, cols, out=out3)
-            if b_slot is not None:
-                xp.add(out, vals[b_slot].reshape(1, out_channels, 1, 1), out=out)
-            vals[o] = out
 
     else:
 
-        def run(vals):
+        def columns(vals):
             windows = xp.sliding_window_view(vals[x_slot], (kh, kw), axis=(2, 3))
             if stride > 1:
                 windows = windows[:, :, ::stride, ::stride]
             xp.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-            w_mat = vals[w_slot].reshape(out_channels, features)
-            xp.matmul(w_mat, cols, out=out3)
-            if b_slot is not None:
-                xp.add(out, vals[b_slot].reshape(1, out_channels, 1, 1), out=out)
-            vals[o] = out
+
+    def gemm(vals):
+        w_mat = vals[w_slot].reshape(out_channels, features)
+        xp.matmul(w_mat, cols, out=out3)
+        if b_slot is not None:
+            xp.add(out, vals[b_slot].reshape(1, out_channels, 1, 1), out=out)
+        vals[o] = out
+
+    if ctx.is_static(x_slot):
+        # Forward-only plan over a fixed input batch: the columns depend on
+        # the batch alone, so they are built once per binding.
+        ctx.hoist(columns)
+        return gemm
+
+    def run(vals):
+        columns(vals)
+        gemm(vals)
 
     return run
 

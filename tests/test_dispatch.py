@@ -319,12 +319,33 @@ class TestClaimAwareGridRunner:
 
 @pytest.mark.slow
 class TestTwoRunnersShareOneCacheDir:
+    # Start barrier: after its first executed grid cell, each runner drops
+    # a marker file in the cache dir and blocks (inside the progress
+    # callback) until the peer's marker exists.  Both runners therefore
+    # execute by construction, whatever their start-up skew; a peer that
+    # never arrives fails the run loudly instead of hanging.
     _DRIVER = r"""
-import json, sys, dataclasses
+import json, sys, dataclasses, time
+from pathlib import Path
 from repro.experiments import GridRunner, expand_grid, smoke_scale
+cache, me, peer = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+arrived = []
+
+def progress(message):
+    if arrived or not message.startswith("[grid "):
+        return
+    arrived.append(message)
+    (cache / f"{me}.barrier").touch()
+    deadline = time.monotonic() + 120.0
+    while not (cache / f"{peer}.barrier").exists():
+        if time.monotonic() > deadline:
+            raise SystemExit(f"{me}: peer {peer} executed no cell within 120 s")
+        time.sleep(0.05)
+
 grid = expand_grid(attacks=("lie",), defenses=("fedavg", "mkrum", "median", "krum"),
                    betas=(0.5, None), scale=smoke_scale, num_rounds=1)
-runner = GridRunner(workers=1, cache_dir=sys.argv[1], claim_ttl=30, runner_id=sys.argv[2])
+runner = GridRunner(workers=1, cache_dir=cache, claim_ttl=30, runner_id=me,
+                    progress=progress)
 results = runner.run(grid)
 print(json.dumps({"stats": dataclasses.asdict(runner.last_stats),
                   "labels": [label for label, _ in results],
@@ -342,13 +363,13 @@ print(json.dumps({"stats": dataclasses.asdict(runner.last_stats),
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", self._DRIVER, str(shared), name],
+                [sys.executable, "-c", self._DRIVER, str(shared), name, peer],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
                 env=env,
             )
-            for name in ("runner-a", "runner-b")
+            for name, peer in (("runner-a", "runner-b"), ("runner-b", "runner-a"))
         ]
         outs = []
         for proc in procs:
@@ -357,12 +378,15 @@ print(json.dumps({"stats": dataclasses.asdict(runner.last_stats),
             outs.append(json.loads(stdout.strip().splitlines()[-1]))
         stats_a, stats_b = outs[0]["stats"], outs[1]["stats"]
 
-        # every cell executed exactly once, by exactly one runner
+        # both runners executed (the barrier's guarantee), and every cell
+        # exactly once, by exactly one runner
+        assert stats_a["executed"] >= 1 and stats_b["executed"] >= 1
         assert stats_a["executed"] + stats_b["executed"] == cells
         assert stats_a["executed"] + stats_a["cache_hits"] == cells
         assert stats_b["executed"] + stats_b["cache_hits"] == cells
         assert stats_a["baselines_executed"] + stats_b["baselines_executed"] == 2
-        # per-host dataset publication count: one per host for the one dataset
+        # per-host dataset publication count: one per host for the one
+        # dataset (the broker publishes on a host's first executed cell)
         assert stats_a["dataset_publications"] == 1
         assert stats_b["dataset_publications"] == 1
         # both runners return the complete grid

@@ -293,6 +293,17 @@ class TestCli:
         output = capsys.readouterr().out
         assert "attack success rate" in output.lower()
 
+    def test_run_stats_json_reports_inference_lane(self, capsys, tmp_path):
+        path = tmp_path / "stats.json"
+        code = cli.main(
+            ["run", "--dataset", "fashion-mnist", "--attack", "lie", "--defense", "refd",
+             "--scale", "smoke", "--rounds", "2", "--stats-json", str(path)]
+        )
+        assert code == 0
+        lane = json.loads(path.read_text())["inference_lane"]
+        assert set(lane) == {"plans_recorded", "replays", "fallbacks", "hoisted_batches"}
+        assert lane["replays"] > 0 and lane["fallbacks"] == 0
+
     def test_run_command_iid_flag(self, capsys):
         code = cli.main(
             ["run", "--dataset", "fashion-mnist", "--defense", "median", "--scale", "smoke",

@@ -11,6 +11,7 @@ from repro.nn.serialization import (
     FlatParams,
     get_flat_params,
     parameter_shapes,
+    parameter_views,
     set_flat_params,
     state_dict_to_vector,
     vector_to_state_dict,
@@ -137,6 +138,27 @@ class TestFlatParamsView:
         clone = flat.copy()
         clone.vector[:] = 0.0
         assert not np.all(flat.vector == 0.0)
+
+    def test_parameter_views_share_the_vector(self):
+        model = _make_model(2)
+        vector = get_flat_params(_make_model(5))
+        views = parameter_views(model, vector)
+        assert [v.shape for v in views] == [p.data.shape for p in model.parameters()]
+        assert all(np.shares_memory(view, vector) for view in views)
+        set_flat_params(model, vector)
+        for view, param in zip(views, model.parameters()):
+            np.testing.assert_array_equal(view, param.data)
+
+    def test_parameter_views_cast_like_set_flat_params(self):
+        model = _make_model(2)
+        vector = get_flat_params(_make_model(5), dtype=np.float64) + 1e-9
+        views = parameter_views(model, vector)
+        set_flat_params(model, vector)
+        for view, param in zip(views, model.parameters()):
+            assert view.dtype == param.data.dtype
+            assert np.array_equal(view, param.data)
+        with pytest.raises(ValueError):
+            parameter_views(model, vector[:-1])
 
     def test_nbytes_halved_vs_float64(self):
         model = _make_model()
