@@ -50,10 +50,13 @@ from repro.fl.executor import (
     SharedArrayStore,
     SharedParamsLease,
 )
-from repro.fl.training import predict_proba
+from repro.data.dataset import ArrayDataset
+from repro.fl import training
+from repro.fl.training import evaluate_model, predict_proba
 from repro.models import ClassifierFactory
 from repro.fl.types import DefenseContext, ModelUpdate
 from repro.models import CifarCNN, SmallCNN
+from repro.nn import blas
 from repro.nn import functional as F
 from repro.nn import trace as nn_trace
 from repro.nn.serialization import get_flat_params, set_flat_params
@@ -109,6 +112,10 @@ CHECK_THRESHOLDS = {
     # forwards (10 FashionCNN updates x 1024 reference images, median of
     # interleaved pairs); measured ~1.4x on a 2-core x86 host.
     "refd_lane": 1.1,
+    # CIFAR evaluation sharded over the cores vs one shard (2048 images,
+    # median of interleaved pairs); measured ~1.5x on a 2-core x86 host.
+    # Gated only where the lane is at least two shards wide.
+    "inference_shards": 1.2,
 }
 
 
@@ -672,6 +679,10 @@ def _replay_counts() -> Tuple[int, int]:
     return nn_trace.trace_counters()["replays"], nn_trace.lane_counters()["replays"]
 
 
+def _one_shard(num_batches: int) -> int:
+    return 1
+
+
 class _legacy_kernels:
     """Context manager swapping the hot-path kernels back to their pre-PR
     implementations (conv, float64 flat-param transport, out-of-place SGD,
@@ -679,7 +690,8 @@ class _legacy_kernels:
 
     The leg is fully eager: a replayed trace plan would bypass the patched
     ``F.conv2d``, so both trace engines are pinned to eager inside, and
-    leaving the context asserts that no plan replayed.
+    leaving the context asserts that no plan replayed.  The inference
+    lanes run at width 1 inside, as they did before they were sharded.
     """
 
     def __enter__(self):
@@ -691,7 +703,9 @@ class _legacy_kernels:
             executor_module.get_flat_params,
             SGD.step,
             Refd.score_updates,
+            training._lane_width,
         )
+        training._lane_width = _one_shard
         F.conv2d = lambda x, weight, bias=None, stride=1, padding=0: _legacy_conv2d(
             x, weight, bias, stride, padding
         )
@@ -708,7 +722,13 @@ class _legacy_kernels:
 
         replays = _replay_counts()
         self._eager.__exit__(*exc_info)
-        (F.conv2d, executor_module.get_flat_params, SGD.step, Refd.score_updates) = self._saved
+        (
+            F.conv2d,
+            executor_module.get_flat_params,
+            SGD.step,
+            Refd.score_updates,
+            training._lane_width,
+        ) = self._saved
         if exc_info[0] is None and replays != self._replays:
             raise AssertionError("a trace plan replayed inside the legacy (eager) leg")
 
@@ -744,6 +764,60 @@ def bench_e2e_round(repeats: int) -> Dict[str, float]:
         "speedup": legacy / current,
         "pre_pr_reference_s": PRE_PR_REFERENCE["e2e_round_serial_s"],
         "pre_pr_machine": PRE_PR_REFERENCE["machine"],
+    }
+
+
+def bench_inference_shards(repeats: int) -> Dict[str, float]:
+    """Sharded evaluation vs one shard on CIFAR shapes.
+
+    ``evaluate_model`` of a CifarCNN (32×32×3, in the simulation's
+    evaluation batches of 256) on 2048 images, once at the lane's natural
+    width (the cores in the affinity mask) and once forced to a single
+    shard, in interleaved pairs; the headline is the median of the
+    per-pair ratios.
+    Both legs pin numpy's BLAS to one thread per shard, and they must
+    return the same ``(accuracy, loss)``.
+    """
+    rng = np.random.default_rng(0)
+    images = rng.standard_normal((2048, 3, 32, 32)).astype(np.float32)
+    dataset = ArrayDataset(images, rng.integers(0, 10, size=len(images)))
+    model = CifarCNN(rng=np.random.default_rng(1))
+    batch_size = 256
+    width = training._lane_width(-(-len(images) // batch_size))
+    natural = training._lane_width
+
+    def serial():
+        training._lane_width = _one_shard
+        try:
+            return evaluate_model(model, dataset, batch_size)
+        finally:
+            training._lane_width = natural
+
+    def sharded():
+        return evaluate_model(model, dataset, batch_size)
+
+    assert sharded() == serial(), "sharded evaluation changed (accuracy, loss)"
+    # Untimed warm-up: a process's first one or two sharded calls run at
+    # about serial speed (the helper threads start on fresh malloc heap).
+    sharded()
+    sharded()
+    serial_times, sharded_times, ratios = [], [], []
+    for _ in range(max(5, repeats // 2)):
+        start = time.perf_counter()
+        serial()
+        serial_s = time.perf_counter() - start
+        start = time.perf_counter()
+        sharded()
+        sharded_s = time.perf_counter() - start
+        serial_times.append(serial_s)
+        sharded_times.append(sharded_s)
+        ratios.append(serial_s / sharded_s)
+    return {
+        "serial_s": float(np.median(serial_times)),
+        "sharded_s": float(np.median(sharded_times)),
+        "speedup": float(np.median(ratios)),
+        "width": width,
+        "blas": blas.numpy_blas_path(),
     }
 
 
@@ -1117,8 +1191,10 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
     # trace metrics run even under --skip-e2e.
     results["trace_replay"] = bench_trace_replay(repeats)
     results["trace_record_overhead"] = bench_trace_record_overhead(repeats)
-    # No legacy leg either: CI always gates the inference lane.
+    # No legacy leg either: CI always gates the inference lane, and the
+    # sharded evaluation wherever the runner has two cores.
     results["refd_lane"] = bench_refd_lane(repeats)
+    results["inference_shards"] = bench_inference_shards(repeats)
     site_records = _dispatch_site_records(results)
     if site_records:
         results["dispatch_sites"] = site_records
@@ -1148,6 +1224,7 @@ def _aggregate_speedups(results) -> Dict[str, float]:
         "trace_replay",
         "trace_record_overhead",
         "refd_lane",
+        "inference_shards",
     ):
         if metric in results:
             headline[metric] = float(results[metric]["speedup"])
@@ -1156,11 +1233,25 @@ def _aggregate_speedups(results) -> Dict[str, float]:
     return headline
 
 
-def check_thresholds(headline: Dict[str, float]) -> Dict[str, Tuple[float, float, bool]]:
+def skipped_checks(results) -> Dict[str, str]:
+    """Thresholds this host cannot exercise, with the reason."""
+    skipped = {}
+    shards = results.get("inference_shards")
+    if shards and shards["width"] < 2:
+        skipped["inference_shards"] = (
+            f"lane width {shards['width']} (affinity CPUs "
+            f"{training._affinity_cpus()}, BLAS {shards['blas']}): nothing to shard over"
+        )
+    return skipped
+
+
+def check_thresholds(
+    headline: Dict[str, float], skipped: Optional[Dict[str, str]] = None
+) -> Dict[str, Tuple[float, float, bool]]:
     """Compare headline speedups against the generous CI thresholds."""
     verdicts = {}
     for metric, minimum in CHECK_THRESHOLDS.items():
-        if metric in headline:
+        if metric in headline and metric not in (skipped or {}):
             verdicts[metric] = (headline[metric], minimum, headline[metric] >= minimum)
     return verdicts
 
@@ -1280,6 +1371,16 @@ def render_table(results, headline) -> str:
                 f"{numbers['speedup']:.2f}x",
             ]
         )
+    if "inference_shards" in results:
+        numbers = results["inference_shards"]
+        rows.append(
+            [
+                f"inference_shards(1 vs {numbers['width']} shards)",
+                f"{numbers['serial_s'] * 1e6:.0f}",
+                f"{numbers['sharded_s'] * 1e6:.0f}",
+                f"{numbers['speedup']:.2f}x",
+            ]
+        )
     if "trace_record_overhead" in results:
         numbers = results["trace_record_overhead"]
         rows.append(
@@ -1347,10 +1448,13 @@ def main(argv=None) -> int:
         print(f"wrote {trace_path}")
 
     if args.check:
-        verdicts = check_thresholds(headline)
+        skipped = skipped_checks(results)
+        verdicts = check_thresholds(headline, skipped)
         failed = {m: v for m, v in verdicts.items() if not v[2]}
         for metric, (value, minimum, ok) in verdicts.items():
             print(f"check {metric:24s} {value:5.2f}x >= {minimum:.2f}x  {'ok' if ok else 'FAIL'}")
+        for metric, reason in skipped.items():
+            print(f"check {metric:24s} skipped: {reason}")
         if failed:
             return 1
     return 0

@@ -46,6 +46,7 @@ from .experiments.grid import GridExecutionError, GridRunner, expand_grid
 from .experiments.io import save_results, write_summary_csv
 from .fl.dispatch_policy import DispatchPolicy
 from .fl.faults import FaultPlan, ResilienceConfig
+from .nn.blas import numpy_blas_path
 from .nn.trace import lane_counters
 from .utils import format_table
 
@@ -409,8 +410,11 @@ def _run_single(args: argparse.Namespace) -> int:
     if chaos:
         print(chaos)
     # Inference-lane counters of this process (REFD scoring that fans out
-    # to worker processes counts there, not here).
+    # to worker processes counts there, not here), the latest lane width and
+    # the BLAS library the lanes pin (None: they run on one thread).
     lane = {key: lane_after[key] - lane_before[key] for key in lane_after}
+    lane["width"] = lane_after["width"]
+    lane["blas"] = numpy_blas_path()
     _write_policy_stats(
         policy,
         args.stats_json,

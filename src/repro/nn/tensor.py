@@ -28,13 +28,14 @@ DEFAULT_DTYPE = np.float32
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-#: Per-thread autograd switch.  Thread-local because executor thread pools
-#: run inference (``no_grad`` blocks) concurrently with the main thread —
-#: REFD scoring fans out ``predict_proba`` across a ThreadedExecutor while
-#: the round loop may keep recording gradients — and a process-global flag
-#: with per-instance save/restore would race (one interleaving leaves
-#: gradient recording permanently disabled, the other builds stray graphs
-#: mid-inference).
+#: Per-thread autograd switch.  Thread-local because inference runs in
+#: ``no_grad`` blocks on several threads at once — the sharded lanes
+#: (``evaluate_model``/``predict_candidates``) run batch shards on helper
+#: threads, and thread dispatch runs client training and REFD scoring on
+#: pool threads — while other threads may keep recording gradients.  A
+#: process-global flag with per-instance save/restore would race (one
+#: interleaving leaves gradient recording permanently disabled, the other
+#: builds stray graphs mid-inference).
 _GRAD_STATE = threading.local()
 
 #: Per-thread trace recorder hook.  While :mod:`repro.nn.trace` records a

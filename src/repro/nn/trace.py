@@ -65,6 +65,7 @@ __all__ = [
     "reset_trace_cache",
     "trace_counters",
     "lane_counters",
+    "note_lane_width",
     "MAX_SIGNATURES_PER_MODEL",
 ]
 
@@ -773,7 +774,14 @@ _CACHE_LOCK = threading.Lock()
 _TRACES: Dict[tuple, Union[Trace, str]] = {}
 _SIGNATURE_COUNTS: Dict[object, int] = {}
 _COUNTERS = {"records": 0, "replays": 0, "fallbacks": 0}
-_LANE_COUNTERS = {"plans_recorded": 0, "replays": 0, "fallbacks": 0, "hoisted_batches": 0}
+_LANE_COUNTERS = {
+    "plans_recorded": 0,
+    "replays": 0,
+    "fallbacks": 0,
+    "hoisted_batches": 0,
+    "sharded_calls": 0,
+    "width": 0,
+}
 _THREAD_PLANS = threading.local()
 
 
@@ -790,8 +798,12 @@ def lane_counters() -> Dict[str, int]:
     ``replays`` forwards served by a plan; ``fallbacks`` forwards run
     eagerly for lack of one (no ``trace_signature``, an untraceable op, the
     signature cap); ``hoisted_batches`` batch bindings whose plan ran a
-    parameter-independent prefix.  Kept apart from :func:`trace_counters`,
-    whose keys all count training steps.
+    parameter-independent prefix; ``sharded_calls`` lane calls
+    (:func:`~repro.fl.training.evaluate_model`,
+    :func:`~repro.fl.training.predict_candidates`) that fanned their
+    batches out over more than one thread, and ``width`` the shard count
+    of the latest lane call (a gauge, not a count).  Kept apart from
+    :func:`trace_counters`, whose keys all count training steps.
     """
     with _CACHE_LOCK:
         return dict(_LANE_COUNTERS)
@@ -816,6 +828,14 @@ def _bump(counter: str) -> None:
 def _bump_lane(counter: str) -> None:
     with _CACHE_LOCK:
         _LANE_COUNTERS[counter] += 1
+
+
+def note_lane_width(width: int) -> None:
+    """Record the shard count of one inference-lane call."""
+    with _CACHE_LOCK:
+        _LANE_COUNTERS["width"] = width
+        if width > 1:
+            _LANE_COUNTERS["sharded_calls"] += 1
 
 
 def _reserve_signature(cap_key, key: tuple) -> Optional[int]:
@@ -1021,7 +1041,7 @@ class ForwardSession(_PlanSession):
         storage, valid until the next call.
         """
         if x is not self._x:
-            self._bind(x)
+            self.bind(x)
         if self._bound is not None:
             _bump_lane("replays")
             return self._bound.forward(params)
@@ -1038,7 +1058,16 @@ class ForwardSession(_PlanSession):
     def _key(self, x: np.ndarray) -> tuple:
         return ("forward", self.signature, x.shape, x.dtype.str)
 
-    def _bind(self, x: np.ndarray) -> None:
+    def bind(self, x: np.ndarray) -> None:
+        """Bind batch ``x`` ahead of :meth:`forward`.
+
+        Fetches (compiling if needed) the batch signature's plan and runs
+        its parameter-independent prefix on ``x``; an unseen signature is
+        recorded by the next :meth:`forward`.  :meth:`forward` binds on
+        its own, so this only lets a caller choose *where* that work and
+        its allocations happen — the sharded lanes bind each helper
+        thread's first batch on the calling thread.
+        """
         self._x, self._bound, self._record_key = x, None, None
         if self.signature is None:
             return

@@ -301,8 +301,13 @@ class TestCli:
         )
         assert code == 0
         lane = json.loads(path.read_text())["inference_lane"]
-        assert set(lane) == {"plans_recorded", "replays", "fallbacks", "hoisted_batches"}
+        assert set(lane) == {
+            "plans_recorded", "replays", "fallbacks", "hoisted_batches",
+            "sharded_calls", "width", "blas",
+        }
         assert lane["replays"] > 0 and lane["fallbacks"] == 0
+        assert lane["width"] >= 1
+        assert lane["blas"] is None or "blas" in lane["blas"].lower()
 
     def test_run_command_iid_flag(self, capsys):
         code = cli.main(
