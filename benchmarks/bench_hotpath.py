@@ -40,16 +40,10 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.defenses import Refd
-from repro.defenses.distances import pairwise_sq_distances
 from repro.experiments import benchmark_scale, build_simulation
 from repro.fl.dispatch_policy import CostModel, DispatchPolicy
 from repro.fl.faults import ResilienceConfig
-from repro.fl.executor import (
-    ParallelExecutor,
-    ShardRef,
-    SharedArrayStore,
-    SharedParamsLease,
-)
+from repro.fl.executor import ShardRef, SharedArrayStore, SharedParamsLease
 from repro.data.dataset import ArrayDataset
 from repro.fl import training
 from repro.fl.training import evaluate_model, predict_proba
@@ -456,13 +450,13 @@ def bench_round_dispatch(repeats: int) -> Dict[str, float]:
     config = _e2e_config()
     results: Dict[str, float] = {}
     for label, use_shm in (("inline", False), ("shm", True)):
-        executor = ParallelExecutor(workers=2, use_shared_memory=use_shm)
-        with build_simulation(config, policy=executor) as simulation:
+        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
+        with build_simulation(config, policy=policy) as simulation:
             simulation.run_round()  # warm the pool
             results[f"{label}_s"] = _best_of(simulation.run_round, max(2, repeats // 8))
             if use_shm:
-                results["shm_rounds"] = executor.shm_rounds
-                results["shard_rounds"] = executor.shard_rounds
+                results["shm_rounds"] = simulation.executor.shm_rounds
+                results["shard_rounds"] = simulation.executor.shard_rounds
     results["speedup"] = results["inline_s"] / results["shm_s"]
     return results
 
@@ -481,8 +475,8 @@ def bench_shard_broadcast() -> Dict[str, float]:
     config = _e2e_config()
     results: Dict[str, float] = {}
     for label, use_shm in (("inline", False), ("shm", True)):
-        executor = ParallelExecutor(workers=2, use_shared_memory=use_shm)
-        with build_simulation(config, policy=executor) as simulation:
+        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=use_shm)
+        with build_simulation(config, policy=policy) as simulation:
             client = next(iter(simulation.benign_clients.values()))
             params = simulation.server.distribute()
             task = client.make_task(params, 0)
@@ -497,7 +491,6 @@ def bench_shard_broadcast() -> Dict[str, float]:
             results[f"shard_nbytes_{label}"] = sum(
                 array.nbytes for array in client.dataset.arrays()
             )
-        executor.close()
     results["speedup"] = results["task_nbytes_inline"] / results["task_nbytes_shm"]
     return results
 
@@ -530,15 +523,15 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
     labels = rng.integers(0, 10, size=160).astype(np.int64)
     defense = Refd(num_rejected=2)
 
-    def context(executor=None, reference_ref=None):
+    def context(dispatch=None, reference_ref=None):
         return DefenseContext(
             round_number=0,
             global_params=base,
             expected_num_malicious=2,
             rng=np.random.default_rng(0),
             model_factory=factory,
-            executor=executor,
             reference_ref=reference_ref,
+            dispatch=dispatch,
         )
 
     serial_context = context()
@@ -546,8 +539,8 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
         reference_ref = ShardRef(
             images=store.refs["reference/images"], labels=store.refs["reference/labels"]
         )
-        with ParallelExecutor(workers=2) as executor:
-            process_context = context(executor=executor, reference_ref=reference_ref)
+        with DispatchPolicy.fixed("process", workers=2) as policy:
+            process_context = context(dispatch=policy, reference_ref=reference_ref)
             serial_scores = [
                 r.score for r in defense.score_updates(updates, images, serial_context)
             ]
@@ -562,47 +555,12 @@ def bench_refd_fanout(repeats: int) -> Dict[str, float]:
             process = _best_of(
                 lambda: defense.score_updates(updates, images, process_context), repeats
             )
-            fanout_calls = executor.fanout_calls
+            fanout_calls = policy.counter_snapshot()["process_fanout_calls"]
     return {
         "serial_s": serial,
         "process_s": process,
         "speedup": serial / process,
         "fanout_calls": fanout_calls,
-        "workers": 2,
-    }
-
-
-def bench_distance_fanout(repeats: int) -> Dict[str, float]:
-    """Distance-plane row-block fan-out: serial kernels vs a 2-worker pool.
-
-    Times the full production path (content digests, cache probe, block
-    fan-out) on the ledger's reference geometry — a 10x100k float32 matrix
-    split into 4 row blocks — with the policy's distance cache cleared
-    before every run so the kernels are actually recomputed.  The measured
-    pair is what calibrates the ``"distance"`` site of the adaptive cost
-    model, documenting the regression the adaptive policy exists to avoid:
-    at this scale the process fan-out *loses* on 1-2 core machines.
-    """
-    rng = np.random.default_rng(0)
-    matrix = rng.standard_normal((10, 100_000)).astype(np.float32)
-    repeats = max(3, repeats)
-    serial_policy = DispatchPolicy.serial()
-    baseline = pairwise_sq_distances(matrix, dispatch=serial_policy)
-
-    def run(policy):
-        policy.distance_cache.clear()
-        return pairwise_sq_distances(matrix, dispatch=policy)
-
-    serial = _best_of(lambda: run(serial_policy), repeats)
-    with ParallelExecutor(workers=2) as executor:
-        process_policy = DispatchPolicy.for_executor(executor)
-        np.testing.assert_array_equal(baseline, run(process_policy))
-        process = _best_of(lambda: run(process_policy), repeats)
-    return {
-        "serial_s": serial,
-        "process_s": process,
-        "speedup": serial / process,
-        "blocks": 4,
         "workers": 2,
     }
 
@@ -840,19 +798,6 @@ def _dispatch_site_records(results) -> list:
                 "serial_s": refd["serial_s"],
                 "parallel_s": refd["process_s"],
                 "workers": refd.get("workers", 2),
-            }
-        )
-    distance = results.get("distance_fanout")
-    if distance:
-        records.append(
-            {
-                "site": "distance",
-                "backend": "process",
-                "items": distance.get("blocks", 4),
-                "work": float(10 * 10 * 100_000),  # n * n * dim of the probe
-                "serial_s": distance["serial_s"],
-                "parallel_s": distance["process_s"],
-                "workers": distance.get("workers", 2),
             }
         )
     round_dispatch = results.get("round_dispatch")
@@ -1180,7 +1125,6 @@ def run_suite(repeats: int = 25, include_dispatch: bool = True, include_e2e: boo
         results["round_dispatch"] = bench_round_dispatch(repeats)
         results["shard_broadcast"] = bench_shard_broadcast()
         results["refd_fanout"] = bench_refd_fanout(repeats)
-        results["distance_fanout"] = bench_distance_fanout(max(3, repeats // 5))
     if include_e2e:
         results["e2e_round"] = bench_e2e_round(repeats)
     # Cheap (no legacy-kernel leg), so it runs even under --skip-e2e: CI
@@ -1218,7 +1162,6 @@ def _aggregate_speedups(results) -> Dict[str, float]:
     for metric in (
         "shard_broadcast",
         "refd_fanout",
-        "distance_fanout",
         "adaptive_dispatch",
         "fault_hooks",
         "trace_replay",
@@ -1306,16 +1249,6 @@ def render_table(results, headline) -> str:
         rows.append(
             [
                 "refd_fanout(serial vs process)",
-                f"{numbers['serial_s'] * 1e6:.0f}",
-                f"{numbers['process_s'] * 1e6:.0f}",
-                f"{numbers['speedup']:.2f}x",
-            ]
-        )
-    if "distance_fanout" in results:
-        numbers = results["distance_fanout"]
-        rows.append(
-            [
-                "distance_fanout(serial vs process)",
                 f"{numbers['serial_s'] * 1e6:.0f}",
                 f"{numbers['process_s'] * 1e6:.0f}",
                 f"{numbers['speedup']:.2f}x",

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="dispatch-policy spec, e.g. 'adaptive', 'process:2' or "
-        "'adaptive,distance=serial' (overrides --workers)",
+        "'process:2,refd=serial' (overrides --workers)",
     )
     run.add_argument(
         "--stats-json",

@@ -3,12 +3,7 @@
 from .adaptive_refd import AdaptiveRefd
 from .base import Defense, NoDefense
 from .bulyan import Bulyan
-from .distances import (
-    COSINE_BLOCK_FANOUT,
-    DISTANCE_BLOCK_FANOUT,
-    pairwise_cosine_similarities,
-    pairwise_sq_distances,
-)
+from .distances import pairwise_cosine_similarities, pairwise_sq_distances
 from .foolsgold import FoolsGold, pardoned_similarities
 from .krum import (
     Krum,
@@ -35,8 +30,6 @@ __all__ = [
     "pairwise_sq_distances",
     "pairwise_cosine_similarities",
     "pardoned_similarities",
-    "DISTANCE_BLOCK_FANOUT",
-    "COSINE_BLOCK_FANOUT",
     "Bulyan",
     "Median",
     "TrimmedMean",

@@ -2,16 +2,15 @@
 
 Krum/Multi-Krum, Bulyan and FoolsGold all reduce the round's update matrix
 to a pairwise geometry — squared L2 distances for the Krum family, cosine
-similarities for FoolsGold.  PR 2 moved the update pipeline to float32 flat
-buffers, which silently broke the Gram-trick expansion
-``‖x‖² + ‖y‖² − 2·x·y`` those modules used: for the near-duplicate benign
-updates that dominate after a few converged rounds, the true squared
-distance (~1e-6) sits far below the float32 rounding of the ~1e4 squared
-norms (eps32 · ‖x‖² ≈ 1e-3), so the subtraction catastrophically cancels
-and the neighbour ordering — hence *which client Krum accepts* — becomes
-noise.
+similarities for FoolsGold.  The update pipeline runs on float32 flat
+buffers, which breaks the Gram-trick expansion ``‖x‖² + ‖y‖² − 2·x·y``:
+for the near-duplicate benign updates that dominate after a few converged
+rounds, the true squared distance (~1e-6) sits far below the float32
+rounding of the ~1e4 squared norms (eps32 · ‖x‖² ≈ 1e-3), so the
+subtraction catastrophically cancels and the neighbour ordering — hence
+*which client Krum accepts* — becomes noise.
 
-This module fixes that at the root and gives the defenses one shared
+This module avoids that at the root and gives the defenses one shared
 compute plane:
 
 * :func:`pairwise_sq_distances` computes **exact row-block differences in
@@ -23,54 +22,26 @@ compute plane:
   computes the similarity Gram product per row block in float64 (cosine has
   no cancelling subtraction, but the float32 accumulation loses the
   near-duplicate structure FoolsGold keys on just the same).
-* Row blocks route through a
-  :class:`~repro.fl.dispatch_policy.DispatchPolicy` (``dispatch=``), which
-  decides serial vs pooled from the benchmark-calibrated cost model — at
-  the paper's 10-client scale the fan-out overhead loses to the serial
-  kernel, so the policy keeps row blocks inline there.  Pooled backends
-  whose fan-out pickles its work items receive the stacked matrix **once**
-  (``publish``) and each envelope carries only a
-  :class:`~repro.fl.executor.SharedArrayRef` plus row indices.  The legacy
-  ``executor=`` argument still works and maps onto a policy pinned to that
-  executor.
-* When a dispatch policy is in play, its
-  :class:`~repro.fl.dispatch_policy.DistanceCache` amortises the plane
-  across rounds: every pair value is cached under a content hash of the
-  exact row bytes, so unchanged benign-benign sub-blocks are reused
-  bitwise and only rows whose bytes changed are recomputed (the fan-out
-  then ships 4-tuple payloads naming the stale row subset).  Bare calls —
-  no executor, no policy — stay pure serial compute with no cache.
+
+Both are plain serial compute.  At the paper's shapes (about 10 updates of
+20k–140k parameters per round) one matrix costs a few to a few tens of
+milliseconds, and a process-pool fan-out of the row blocks measured slower
+than that, so row blocks exist only to bound the float64 temporaries.
 
 Determinism contract
 --------------------
 The per-pair reduction runs over fixed ``_DIM_CHUNK`` column chunks in a
-fixed order, independent of the row-block partition, so serial, thread and
-process backends — and any ``block_rows`` override or cached row subset —
-produce bitwise identical matrices for the same input.
+fixed order, independent of the row-block partition, so any ``block_rows``
+value produces bitwise identical matrices for the same input.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..fl.dispatch_policy import DispatchPolicy
-from ..fl.executor import (
-    SharedArrayRef,
-    register_fanout_fn,
-    resolve_shared_array,
-)
-
-__all__ = [
-    "DISTANCE_BLOCK_FANOUT",
-    "COSINE_BLOCK_FANOUT",
-    "distance_block",
-    "cosine_block",
-    "pairwise_sq_distances",
-    "pairwise_cosine_similarities",
-]
+__all__ = ["pairwise_sq_distances", "pairwise_cosine_similarities"]
 
 #: Columns of the update matrix reduced per float64 accumulation step.  The
 #: chunk size is a fixed constant so the accumulation order — and therefore
@@ -83,26 +54,12 @@ _DIM_CHUNK = 1 << 16
 #: :func:`_exact_distance_block`, are both derived from it.
 _TARGET_BLOCK_ELEMENTS = 1 << 22
 
-#: Preferred number of row blocks per matrix, so a pooled executor has
-#: work to overlap even for the paper's 10-client rounds.
-_TARGET_BLOCKS = 4
 
-#: Registered fan-out names (``module:label`` so worker processes resolve
-#: them by importing this module on demand).
-DISTANCE_BLOCK_FANOUT = "repro.defenses.distances:distance_block"
-COSINE_BLOCK_FANOUT = "repro.defenses.distances:cosine_block"
-
-
-def _default_block_rows(n: int, dim: int) -> int:
-    """Rows per block: bounded by the temp-memory budget and spread over
-    ``_TARGET_BLOCKS`` blocks so pooled backends overlap; pure function of
-    the matrix shape, hence identical in the parent and every worker."""
-    budget = _TARGET_BLOCK_ELEMENTS // max(1, n * min(dim, _DIM_CHUNK))
-    spread = -(-n // _TARGET_BLOCKS)  # ceil(n / _TARGET_BLOCKS)
-    return max(1, min(max(1, budget), spread))
-
-
-def _row_blocks(n: int, rows: int) -> List[Tuple[int, int]]:
+def _row_blocks(n: int, dim: int, block_rows: Optional[int]):
+    """``(start, stop)`` row ranges; the default height fits the temp budget."""
+    if block_rows is None:
+        block_rows = _TARGET_BLOCK_ELEMENTS // max(1, n * min(dim, _DIM_CHUNK))
+    rows = max(1, int(block_rows))
     return [(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
@@ -135,204 +92,8 @@ def _exact_distance_block(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolve_matrix(matrix) -> np.ndarray:
-    if isinstance(matrix, SharedArrayRef):
-        return resolve_shared_array(matrix)
-    return matrix
-
-
-def _payload_block(payload) -> Tuple[np.ndarray, np.ndarray]:
-    """Resolve a fan-out payload to ``(left_block, matrix)``.
-
-    Payloads are ``(matrix, start, stop)`` for a contiguous row block of the
-    full matrix, or ``(matrix, start, stop, rows)`` where ``rows`` is a
-    tuple of row indices and ``start:stop`` slices *that tuple* — the form
-    the distance cache uses to recompute only stale rows.  ``matrix`` is
-    either the in-process array or a
-    :class:`~repro.fl.executor.SharedArrayRef` into the executor's
-    published store.
-    """
-    if len(payload) == 4:
-        matrix, start, stop, rows = payload
-        matrix = _resolve_matrix(matrix)
-        index = np.asarray(rows[start:stop], dtype=np.intp)
-        return matrix[index], matrix
-    matrix, start, stop = payload
-    matrix = _resolve_matrix(matrix)
-    return matrix[start:stop], matrix
-
-
-def distance_block(payload) -> np.ndarray:
-    """One ``(rows, n)`` tile of the squared-distance matrix (fan-out unit).
-
-    See :func:`_payload_block` for the payload forms; pure function of the
-    payload, bit-identical to the serial path.
-    """
-    block, matrix = _payload_block(payload)
-    return _exact_distance_block(block, matrix)
-
-
-def cosine_block(payload) -> np.ndarray:
-    """One ``(rows, n)`` tile of the cosine-similarity matrix (fan-out unit).
-
-    The payload carries the float64 row-normalized matrix — the parent
-    normalizes once, so every block is a plain float64 inner-product tile.
-    The reduction runs through ``np.einsum`` (not BLAS) so each pair's
-    accumulation order depends only on ``dim``, keeping the result bitwise
-    independent of the row blocking — the same contract as
-    :func:`distance_block`.
-    """
-    block, normalized = _payload_block(payload)
-    # repro: allow[DT001] the payload contract ships float64 row-normalized
-    # operands (asserted by the parent's cast above), invisible to the tracer
-    return np.einsum("bd,nd->bn", block, normalized)
-
-
-register_fanout_fn(DISTANCE_BLOCK_FANOUT, distance_block)
-register_fanout_fn(COSINE_BLOCK_FANOUT, cosine_block)
-
-
-def _resolve_dispatch(dispatch, executor) -> Optional[DispatchPolicy]:
-    """Coerce the ``dispatch=``/legacy ``executor=`` arguments to a policy.
-
-    ``None``/``None`` stays ``None``: bare calls run pure serial compute
-    with no cache, so e.g. benchmark probes measure the raw kernels.
-    """
-    if dispatch is not None:
-        return DispatchPolicy.coerce(dispatch)
-    if executor is not None:
-        return DispatchPolicy.for_executor(executor)
-    return None
-
-
-def _greedy_row_cover(pairs: Sequence[Tuple[int, int]]) -> List[int]:
-    """Smallest practical row set covering every ``(i, j)`` pair.
-
-    Greedy max-cover: repeatedly take the row participating in the most
-    uncovered pairs (lowest index on ties).  When one row mutates, it alone
-    covers all its pairs and is picked exactly; on a cold matrix every row
-    is picked, in order.  Recomputing a covering row refreshes whole
-    ``(row, ·)`` stripes, which is exactly the granularity the block
-    kernels produce anyway.
-    """
-    uncovered = set(pairs)
-    need: List[int] = []
-    while uncovered:
-        counts: Counter = Counter()
-        # repro: allow[ORD002] Counter increments commute; the min() below
-        # tie-breaks on row index, so the pick is order-independent
-        for i, j in uncovered:
-            counts[i] += 1
-            if j != i:
-                counts[j] += 1
-        row = min(counts, key=lambda r: (-counts[r], r))
-        need.append(row)
-        # repro: allow[ORD002] set-to-set filter: membership only, no
-        # iteration order reaches the (sorted) result
-        uncovered = {pair for pair in uncovered if row not in pair}
-    return sorted(need)
-
-
-def _fanout_tiles(
-    dispatch: DispatchPolicy,
-    name: str,
-    kernel: Callable,
-    matrix: np.ndarray,
-    n: int,
-    dim: int,
-    rows_per_block: int,
-    subset: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Row-block tiles via ``dispatch.fanout`` (site ``"distance"``).
-
-    The policy handles all backend gating: serial decisions (and capability
-    fallbacks) run ``kernel`` in-process; pickling backends get the matrix
-    published once and payloads rebuilt over the shared ref.
-    """
-    row_count = n if subset is None else len(subset)
-    blocks = _row_blocks(row_count, rows_per_block)
-    if subset is None:
-        def build(payload_matrix):
-            return [(payload_matrix, start, stop) for start, stop in blocks]
-    else:
-        rows = tuple(int(row) for row in subset)
-
-        def build(payload_matrix):
-            return [(payload_matrix, start, stop, rows) for start, stop in blocks]
-
-    tiles = dispatch.fanout(
-        "distance",
-        name,
-        build(matrix),
-        work=float(row_count) * float(n) * float(max(1, dim)),
-        kernel=kernel,
-        payload_by_ref=False,
-        publish={"matrix": matrix},
-        payloads_from_refs=lambda refs: build(refs["matrix"]),
-    )
-    return np.concatenate(tiles, axis=0)
-
-
-def _pairwise_matrix(
-    dispatch: Optional[DispatchPolicy],
-    namespace: tuple,
-    name: str,
-    kernel: Callable,
-    source: np.ndarray,
-    n: int,
-    dim: int,
-    rows_per_block: int,
-) -> np.ndarray:
-    """Assemble the full ``(n, n)`` matrix, through the cache when one exists.
-
-    Cached assembly is bitwise-exact: values are keyed by row content
-    digests, computed values come from the same blocking-invariant kernels,
-    and the symmetric fill relies on the kernels' exact symmetry
-    (``(a−b)²`` and ``a·b`` are IEEE-symmetric, and the accumulation order
-    per pair is fixed by ``_DIM_CHUNK``).
-    """
-    if dispatch is None:
-        blocks = _row_blocks(n, rows_per_block)
-        tiles = [kernel((source, start, stop)) for start, stop in blocks]
-        return np.concatenate(tiles, axis=0)
-    cache = getattr(dispatch, "distance_cache", None)
-    if cache is None:
-        return _fanout_tiles(dispatch, name, kernel, source, n, dim, rows_per_block)
-    digests = cache.row_digests(source)
-    out = np.empty((n, n), dtype=np.float64)
-    unknown: List[Tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i, n):
-            value = cache.get(namespace, digests[i], digests[j])
-            if value is None:
-                unknown.append((i, j))
-            else:
-                out[i, j] = value
-                out[j, i] = value
-    if unknown:
-        need = _greedy_row_cover(unknown)
-        if len(need) == n:
-            out = _fanout_tiles(dispatch, name, kernel, source, n, dim, rows_per_block)
-        else:
-            sub = _fanout_tiles(
-                dispatch, name, kernel, source, n, dim, rows_per_block, subset=need
-            )
-            for local, row in enumerate(need):
-                out[row, :] = sub[local]
-                out[:, row] = sub[local]
-        need_set = set(need)
-        for i in range(n):
-            for j in range(i, n):
-                if i in need_set or j in need_set:
-                    cache.put(namespace, digests[i], digests[j], out[i, j])
-    return out
-
-
 def pairwise_sq_distances(
-    matrix: np.ndarray,
-    executor=None,
-    block_rows: Optional[int] = None,
-    dispatch=None,
+    matrix: np.ndarray, block_rows: Optional[int] = None
 ) -> np.ndarray:
     """Exact float64 ``(n, n)`` squared L2 distance matrix of ``matrix`` rows.
 
@@ -340,56 +101,36 @@ def pairwise_sq_distances(
     ----------
     matrix:
         ``(n, dim)`` stacked update matrix, any floating dtype.
-    executor:
-        Legacy round executor; equivalent to
-        ``dispatch=DispatchPolicy.for_executor(executor)``.
     block_rows:
-        Rows per block (default: derived from the shape).  The result is
-        bitwise independent of this value; it only exists for tests and
-        tuning.
-    dispatch:
-        A :class:`~repro.fl.dispatch_policy.DispatchPolicy` (or spec string)
-        deciding serial vs pooled per call and carrying the cross-round
-        :class:`~repro.fl.dispatch_policy.DistanceCache`.  ``None`` with no
-        ``executor`` runs pure serial compute, uncached.
+        Rows per block (default: derived from the temp-memory budget).  The
+        result is bitwise independent of this value.
     """
-    dispatch = _resolve_dispatch(dispatch, executor)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D (num_updates, dim)")
     n, dim = matrix.shape
     if n == 0:
         return np.zeros((0, 0), dtype=np.float64)
-    rows = block_rows if block_rows is not None else _default_block_rows(n, dim)
-    namespace = ("sq", dim, matrix.dtype.str)
-    return _pairwise_matrix(
-        dispatch,
-        namespace,
-        DISTANCE_BLOCK_FANOUT,
-        distance_block,
-        matrix,
-        n,
-        dim,
-        max(1, int(rows)),
-    )
+    tiles = [
+        _exact_distance_block(matrix[start:stop], matrix)
+        for start, stop in _row_blocks(n, dim, block_rows)
+    ]
+    return np.concatenate(tiles, axis=0)
 
 
 def pairwise_cosine_similarities(
     matrix: np.ndarray,
     epsilon: float = 0.0,
-    executor=None,
     block_rows: Optional[int] = None,
-    dispatch=None,
 ) -> np.ndarray:
     """Float64 ``(n, n)`` cosine-similarity matrix of ``matrix`` rows.
 
     Rows are normalized once in float64 (``‖x‖ + epsilon`` in the
-    denominator, matching FoolsGold's guard against zero histories); the
-    Gram product then runs per row block on the same dispatch plane as
-    :func:`pairwise_sq_distances`.  Cache keys include ``epsilon``, so
-    different guards never share values.
+    denominator, matching FoolsGold's guard against zero histories).  The
+    Gram product then runs per row block through ``np.einsum`` (not BLAS),
+    so each pair's accumulation order depends only on ``dim`` and the
+    result is bitwise independent of ``block_rows``.
     """
-    dispatch = _resolve_dispatch(dispatch, executor)
     matrix64 = np.asarray(matrix, dtype=np.float64)
     if matrix64.ndim != 2:
         raise ValueError("matrix must be 2-D (num_updates, dim)")
@@ -398,15 +139,8 @@ def pairwise_cosine_similarities(
         return np.zeros((0, 0), dtype=np.float64)
     norms = np.sqrt(np.einsum("nd,nd->n", matrix64, matrix64)) + epsilon
     normalized = matrix64 / norms[:, None]
-    rows = block_rows if block_rows is not None else _default_block_rows(n, dim)
-    namespace = ("cos", dim, matrix64.dtype.str, float(epsilon))
-    return _pairwise_matrix(
-        dispatch,
-        namespace,
-        COSINE_BLOCK_FANOUT,
-        cosine_block,
-        normalized,
-        n,
-        dim,
-        max(1, int(rows)),
-    )
+    tiles = [
+        np.einsum("bd,nd->bn", normalized[start:stop], normalized, dtype=np.float64)
+        for start, stop in _row_blocks(n, dim, block_rows)
+    ]
+    return np.concatenate(tiles, axis=0)

@@ -19,9 +19,10 @@ lane (:func:`~repro.fl.training.predict_candidates`), which replays a
 forward-only plan of the trace tape batch-major — each reference batch is
 bound once, then every update's parameter vector runs on it — and the
 balance/confidence/D-score statistics are then computed vectorized over the
-update axis.  When the round runs on a pooled executor, the per-update
-inference fans out across it instead: :func:`evaluate_update` (the same
-lane, one update) is registered in the executor's named fan-out registry
+update axis.  When the context's dispatch policy routes the ``"refd"``
+site to a pooled backend, the per-update inference fans out across it
+instead: :func:`evaluate_update` (the same lane, one update) is registered
+in the executor's named fan-out registry
 (:data:`EVALUATE_UPDATE_FANOUT`), so thread pools call it directly and
 *process* pools ship picklable envelopes — with the reference images read
 from the simulation's shared-memory shard store rather than pickled per
@@ -39,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..fl.aggregation import fedavg
-from ..fl.dispatch_policy import dispatch_for
 from ..fl.executor import (
     SharedArrayRef,
     register_fanout_fn,
@@ -254,7 +254,7 @@ class Refd(Defense):
         """
         from ..fl.training import predict_candidates  # local import to avoid cycles
 
-        dispatch = dispatch_for(context)
+        dispatch = context.dispatch
         if dispatch is not None and len(updates) > 1:
             images_payload: object = images
             reference_ref = getattr(context, "reference_ref", None)

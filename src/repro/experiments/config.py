@@ -70,7 +70,7 @@ class ExperimentConfig:
     # Execution plane (not science) -----------------------------------------
     dispatch: Optional[str] = None
     """Dispatch-policy spec string (e.g. ``"adaptive"``, ``"process:4"``,
-    ``"adaptive,distance=serial"``) parsed by
+    ``"process:2,refd=serial"``) parsed by
     :meth:`repro.fl.dispatch_policy.DispatchPolicy.parse`.  Pure execution
     mechanics: it changes how work is scheduled, never the result, and is
     therefore excluded from :meth:`to_dict` (so result caches and grid

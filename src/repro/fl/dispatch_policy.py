@@ -7,8 +7,8 @@ measured problem size, which backend should the work go to?
 
 ``BENCH_hotpath.json`` documents why this cannot be a constant: on small
 problems the pooled paths lose (shm round dispatch 0.85x, REFD process
-fan-out 0.62x, distance-block fan-out well below 1x at bench scale on the
-reference machine) while on large multi-core problems they win.  The
+fan-out 0.62x on the reference machine) while on large multi-core problems
+they win.  The
 :class:`CostModel` turns the ledger's measurements into per-site crossover
 estimates; :class:`DispatchPolicy` applies them per call, records every
 decision in a trace (surfaced through ``GridStats``/``--stats-json``), and
@@ -20,9 +20,6 @@ Call sites
     The per-round benign-client fan-out (``FederatedSimulation.run_round``).
 ``"refd"``
     REFD's per-update D-score inference (:mod:`repro.defenses.refd`).
-``"distance"``
-    Row-block fan-out of the exact float64 distance/cosine plane
-    (:mod:`repro.defenses.distances`).
 ``"grid"``
     Grid cell dispatch (:class:`repro.experiments.grid.GridRunner`).
 ``"train"``
@@ -34,24 +31,18 @@ Call sites
     overhead against the per-step replay saving measured by the
     ``trace_record_overhead`` ledger metric.
 
-On top of the per-call decisions the policy owns a :class:`DistanceCache`
-that amortises the float64 distance plane across rounds: pairwise values
-are keyed by a content hash of the exact row bytes, so unchanged
-benign-benign sub-blocks are reused bitwise and any mutated update
-invalidates exactly the pairs it participates in — content-hash exact,
-never approximate.
+These are the only doors to a pool: :meth:`DispatchPolicy.map_tasks` /
+:meth:`DispatchPolicy.executor_for_tasks` for round clients,
+:meth:`DispatchPolicy.fanout` for REFD and the ``"grid"`` decision for
+cells.  The Krum/Bulyan/FoolsGold distance plane is plain serial compute.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .executor import (
     ClientExecutor,
@@ -70,12 +61,10 @@ __all__ = [
     "CostModel",
     "DispatchDecision",
     "DispatchPolicy",
-    "DistanceCache",
-    "dispatch_for",
 ]
 
 #: The call sites a policy decides for (see module docstring).
-SITES = ("round", "refd", "distance", "grid", "train")
+SITES = ("round", "refd", "grid", "train")
 
 #: The executor backends a decision may pick.
 BACKENDS = ("serial", "thread", "process")
@@ -89,8 +78,7 @@ class BenchRecord:
     """One calibration point: a (site, backend) pair timed at a known size.
 
     ``work`` is the site's scalar work measure (items x parameter dimension
-    for model fan-outs, rows x columns x dimension for the distance plane,
-    cell count for the grid); ``serial_s`` and ``parallel_s`` are the
+    for model fan-outs, cell count for the grid); ``serial_s`` and ``parallel_s`` are the
     best-of timings of the same problem on the serial baseline and on
     ``backend`` with ``workers`` workers.
     """
@@ -111,9 +99,6 @@ _REFD_BENCH_ITEMS = 8
 _REFD_BENCH_DIM = 3818  # SmallCNN(in_channels=1, image_size=16, width=8)
 _ROUND_BENCH_ITEMS = 8
 _ROUND_BENCH_DIM = 20490  # FashionCNN, 28x28 (the _e2e_config model)
-_DISTANCE_BENCH_N = 10
-_DISTANCE_BENCH_DIM = 100_000
-_DISTANCE_BENCH_BLOCKS = 4
 
 #: Proxy bandwidth used to convert the measured shm-vs-inline round overhead
 #: into a payload-size crossover (bytes the inline pickle path can move in
@@ -151,15 +136,6 @@ _DEFAULT_LEDGER_RECORDS = (
         work=float(_ROUND_BENCH_ITEMS * _ROUND_BENCH_DIM),
         serial_s=0.1037,
         parallel_s=0.1106,
-        workers=2,
-    ),
-    BenchRecord(
-        site="distance",
-        backend="process",
-        items=_DISTANCE_BENCH_BLOCKS,
-        work=float(_DISTANCE_BENCH_N * _DISTANCE_BENCH_N * _DISTANCE_BENCH_DIM),
-        serial_s=0.0398,
-        parallel_s=0.0569,
         workers=2,
     ),
 )
@@ -220,9 +196,9 @@ class CostModel:
 
         Prefers the explicit ``results["dispatch_sites"]`` records written by
         the current bench harness; for older ledgers it reconstructs records
-        from the ``refd_fanout``/``distance_fanout``/``round_dispatch``/
-        ``e2e_round`` metrics using the known bench geometries.  Sites the
-        ledger does not cover keep the built-in defaults.
+        from the ``refd_fanout``/``round_dispatch``/``e2e_round`` metrics
+        using the known bench geometries.  Sites the ledger does not cover
+        keep the built-in defaults.
         """
         if isinstance(source, (str, Path)):
             data = json.loads(Path(source).read_text())
@@ -270,17 +246,6 @@ class CostModel:
                 serial_s=float(refd["serial_s"]),
                 parallel_s=float(refd["process_s"]),
                 workers=int(refd.get("workers", 2)),
-            )
-        distance = results.get("distance_fanout")
-        if isinstance(distance, Mapping) and "serial_s" in distance:
-            yield BenchRecord(
-                site="distance",
-                backend="process",
-                items=int(distance.get("blocks", _DISTANCE_BENCH_BLOCKS)),
-                work=float(_DISTANCE_BENCH_N * _DISTANCE_BENCH_N * _DISTANCE_BENCH_DIM),
-                serial_s=float(distance["serial_s"]),
-                parallel_s=float(distance["process_s"]),
-                workers=int(distance.get("workers", 2)),
             )
         round_dispatch = results.get("round_dispatch")
         e2e = results.get("e2e_round")
@@ -422,97 +387,25 @@ class DispatchDecision:
         }
 
 
-class DistanceCache:
-    """Cross-round cache of exact pairwise kernel values.
-
-    Keys are ``(namespace, digest_a, digest_b)`` where the digests are
-    blake2b hashes of the exact row bytes and the namespace pins the kernel
-    kind, dimension, dtype and (for cosine) epsilon.  Content addressing
-    makes invalidation exact by construction: a mutated row changes its
-    digest, so every pair it participates in misses, while pairs of
-    untouched rows keep hitting — bitwise-identical values, never stale.
-    Bounded FIFO; duplicate rows (e.g. identical LIE updates) share keys
-    harmlessly because equal content always maps to the equal value.
-    """
-
-    def __init__(self, max_pairs: int = 1 << 17) -> None:
-        self.max_pairs = int(max_pairs)
-        self._values: Dict[tuple, float] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def row_digests(matrix: np.ndarray) -> List[bytes]:
-        """Content digest per row of the exact bytes the kernels consume."""
-        matrix = np.ascontiguousarray(matrix)
-        return [
-            hashlib.blake2b(row.tobytes(), digest_size=16).digest() for row in matrix
-        ]
-
-    @staticmethod
-    def _key(namespace: tuple, digest_a: bytes, digest_b: bytes) -> tuple:
-        if digest_b < digest_a:
-            digest_a, digest_b = digest_b, digest_a
-        return (namespace, digest_a, digest_b)
-
-    def get(self, namespace: tuple, digest_a: bytes, digest_b: bytes) -> Optional[float]:
-        value = self._values.get(self._key(namespace, digest_a, digest_b))
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, namespace: tuple, digest_a: bytes, digest_b: bytes, value: float) -> None:
-        key = self._key(namespace, digest_a, digest_b)
-        if key not in self._values and len(self._values) >= self.max_pairs:
-            self._values.pop(next(iter(self._values)))
-            self.evictions += 1
-        self._values[key] = float(value)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def clear(self) -> None:
-        self._values.clear()
-
-    def counter_snapshot(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._values),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-#: Policies pinned to caller-owned executors, one per executor instance, so
-#: repeated ``dispatch_for(context)`` calls reuse the same trace, counters
-#: and distance cache for the executor's whole lifetime.
-_EXECUTOR_POLICIES: "weakref.WeakKeyDictionary[ClientExecutor, DispatchPolicy]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 class DispatchPolicy:
     """The single public entry point for execution-backend selection.
 
     Construct one of:
 
     * ``DispatchPolicy.fixed("process", workers=4)`` — every site runs on
-      the named backend (the old ``executor="process", workers=4`` kwargs);
-    * ``DispatchPolicy.serial()`` — everything inline (the old default);
+      the named backend;
+    * ``DispatchPolicy.serial()`` — everything inline (the default);
     * ``DispatchPolicy.adaptive()`` — per-call cost-model decisions
       calibrated from the benchmark ledger (``cost_model=`` accepts
-      :meth:`CostModel.from_ledger`);
-    * ``DispatchPolicy.for_executor(executor)`` — pin to a caller-owned
-      executor instance (how deprecated ``executor=`` kwargs are mapped).
+      :meth:`CostModel.from_ledger`).
 
     ``overrides`` statically pins individual sites regardless of mode, e.g.
-    ``{"distance": "serial"}``; mutating :attr:`overrides` between rounds
+    ``{"refd": "serial"}``; mutating :attr:`overrides` between rounds
     re-routes subsequent calls (every backend is bit-identical, so this is
     safe mid-run).  String specs are accepted anywhere a policy is:
-    ``"adaptive"``, ``"process:4"``, ``"thread:2,distance=serial"``.
+    ``"adaptive"``, ``"process:4"``, ``"thread:2,refd=serial"``.
+
+    The policy owns every executor it builds; :meth:`close` releases them.
 
     Every decision lands in :attr:`trace` (deduplicated with counts; JSON
     via :meth:`trace_dicts`, surfaced in ``GridStats.dispatch_decisions``
@@ -527,8 +420,6 @@ class DispatchPolicy:
         use_shared_memory: bool = True,
         cost_model: Optional[CostModel] = None,
         overrides: Optional[Mapping[str, str]] = None,
-        distance_cache: Optional[DistanceCache] = None,
-        _pinned: Optional[ClientExecutor] = None,
     ) -> None:
         if mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown dispatch mode {mode!r}")
@@ -551,8 +442,6 @@ class DispatchPolicy:
                     f"unknown {site} choice {name!r}; expected one of {valid}"
                 )
             self.overrides[site] = name
-        self.distance_cache = distance_cache if distance_cache is not None else DistanceCache()
-        self._pinned = _pinned
         self._executors: Dict[Tuple[str, bool], ClientExecutor] = {}
         self._trace: Dict[tuple, DispatchDecision] = {}
         self.counters: Dict[str, int] = {
@@ -575,7 +464,7 @@ class DispatchPolicy:
         use_shared_memory: bool = True,
         overrides: Optional[Mapping[str, str]] = None,
     ) -> "DispatchPolicy":
-        """Pin every site to one backend (the old scattered kwargs)."""
+        """Pin every site to one backend."""
         return cls(
             mode="fixed",
             backend=backend,
@@ -586,7 +475,7 @@ class DispatchPolicy:
 
     @classmethod
     def serial(cls) -> "DispatchPolicy":
-        """Everything inline — the old default behaviour."""
+        """Everything inline — the default."""
         return cls.fixed("serial")
 
     @classmethod
@@ -605,29 +494,6 @@ class DispatchPolicy:
             overrides=overrides,
             use_shared_memory=use_shared_memory,
         )
-
-    @classmethod
-    def for_executor(cls, executor: ClientExecutor) -> "DispatchPolicy":
-        """Policy pinned to a caller-owned executor instance.
-
-        One policy per executor (weakly cached), so counters, the decision
-        trace and the distance cache persist across calls for as long as the
-        executor lives.  This is how the deprecated ``executor=`` kwargs and
-        ``DefenseContext.executor`` map onto the policy API.
-        """
-        if executor is None:
-            raise TypeError("for_executor() needs an executor instance")
-        policy = _EXECUTOR_POLICIES.get(executor)
-        if policy is None:
-            policy = cls(
-                mode="fixed",
-                backend=getattr(executor, "name", "serial"),
-                workers=getattr(executor, "workers", None),
-                use_shared_memory=bool(getattr(executor, "use_shared_memory", True)),
-                _pinned=executor,
-            )
-            _EXECUTOR_POLICIES[executor] = policy
-        return policy
 
     @classmethod
     def parse(cls, spec: Any) -> "DispatchPolicy":
@@ -666,30 +532,8 @@ class DispatchPolicy:
 
     @classmethod
     def coerce(cls, value: Any) -> "DispatchPolicy":
-        """``None`` -> serial, str -> :meth:`parse`, executor -> pinned."""
-        if value is None:
-            return cls.serial()
-        if isinstance(value, DispatchPolicy):
-            return value
-        if isinstance(value, ClientExecutor):
-            return cls.for_executor(value)
+        """``None`` -> serial, policy -> itself, anything else -> :meth:`parse`."""
         return cls.parse(value)
-
-    @classmethod
-    def from_legacy(
-        cls, executor: Any = None, workers: Optional[int] = None
-    ) -> "DispatchPolicy":
-        """Map the deprecated ``executor=``/``workers=`` kwargs onto a policy.
-
-        Semantics match ``build_executor``: ``None`` runs serially (workers
-        ignored), an executor instance is used as-is, a backend name builds
-        a fixed policy.
-        """
-        if isinstance(executor, ClientExecutor):
-            return cls.for_executor(executor)
-        if executor is None:
-            return cls.serial()
-        return cls.fixed(str(executor), workers=workers)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -721,11 +565,6 @@ class DispatchPolicy:
             backend = requested
             workers = self._resolve_workers(backend)
             reason = f"pinned by override[{site}]"
-        elif self._pinned is not None:
-            backend = self.backend
-            workers = getattr(self._pinned, "workers", None) or 1
-            use_shm = bool(getattr(self._pinned, "use_shared_memory", True))
-            reason = f"pinned to caller executor {backend!r}"
         elif self.mode == "fixed":
             backend = self.backend
             workers = self._resolve_workers(backend)
@@ -838,10 +677,6 @@ class DispatchPolicy:
     # ------------------------------------------------------------------
     def executor_for(self, decision: DispatchDecision) -> ClientExecutor:
         """The (lazily built, cached) executor implementing a decision."""
-        if self._pinned is not None and decision.backend == getattr(
-            self._pinned, "name", None
-        ):
-            return self._pinned
         key = (decision.backend, decision.use_shared_memory)
         executor = self._executors.get(key)
         if executor is None:
@@ -889,93 +724,55 @@ class DispatchPolicy:
         payloads: Sequence,
         *,
         work: Optional[float] = None,
-        kernel: Optional[Callable] = None,
         payload_by_ref: bool = True,
-        publish: Optional[Mapping[str, np.ndarray]] = None,
-        payloads_from_refs: Optional[Callable] = None,
     ) -> Optional[List]:
         """Run a registered fan-out on the decided backend.
 
-        ``fn`` is a ``register_fanout_fn`` name; ``kernel`` is the in-process
-        callable used when the decision (or a capability gate) lands on
-        serial.  When ``kernel`` is ``None`` a serial landing returns
-        ``None`` so the caller can run its own fused serial loop (REFD).
-        ``publish`` maps array names to round-sized arrays that pickling
-        backends must ship via shared memory; ``payloads_from_refs`` rebuilds
-        the payload list from the published refs.  Callers never inspect
-        executor capabilities — the gating that used to live in defense code
-        (``pooled_fanout_ready``, ``supports_generic_fanout``) happens here.
+        ``fn`` is a ``register_fanout_fn`` name.  A serial landing — the
+        decision itself, or a backend that cannot take the payloads
+        (``payload_by_ref=False`` on a pickling pool) — returns ``None`` so
+        the caller runs its own fused serial loop (REFD's inference lane).
+        Callers never inspect executor capabilities: that gating
+        (``pooled_fanout_ready``) happens here.
         """
         payloads = list(payloads)
         items = len(payloads)
         if items <= 1:
-            decision = DispatchDecision(
-                site=site,
-                backend="serial",
-                workers=1,
-                use_shared_memory=self.use_shared_memory,
-                items=items,
-                work=float(work) if work is not None else None,
-                reason="single work item",
+            self._record(
+                DispatchDecision(
+                    site=site,
+                    backend="serial",
+                    workers=1,
+                    use_shared_memory=self.use_shared_memory,
+                    items=items,
+                    work=float(work) if work is not None else None,
+                    reason="single work item",
+                )
             )
-            self._record(decision)
-            executor = None
-        else:
-            decision = self.decide(site, items=items, work=work)
-            executor = None
-            if decision.backend != "serial":
-                executor = self.executor_for(decision)
-                by_ref = payload_by_ref or publish is not None
-                if not pooled_fanout_ready(executor, payload_by_ref=by_ref):
-                    executor = None
-        store = None
-        try:
-            if (
-                executor is not None
-                and publish is not None
-                and getattr(executor, "fanout_requires_pickling", False)
-            ):
-                store = executor.publish_arrays(dict(publish))
-                if store is None:
-                    executor = None
-                elif payloads_from_refs is not None:
-                    payloads = list(payloads_from_refs(store.refs))
-            if executor is None:
-                if kernel is None:
-                    return None
-                return [kernel(payload) for payload in payloads]
-            return executor.map_fn(fn, payloads)
-        finally:
-            if store is not None:
-                store.close()
+            return None
+        decision = self.decide(site, items=items, work=work)
+        if decision.backend == "serial":
+            return None
+        executor = self.executor_for(decision)
+        if not pooled_fanout_ready(executor, payload_by_ref=payload_by_ref):
+            return None
+        return executor.map_fn(fn, payloads)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
-    def _iter_executors(self) -> Iterable[ClientExecutor]:
-        seen = set()
-        if self._pinned is not None:
-            seen.add(id(self._pinned))
-            yield self._pinned
-        for executor in self._executors.values():
-            if id(executor) not in seen:
-                seen.add(id(executor))
-                yield executor
-
     def counter_snapshot(self) -> Dict[str, int]:
-        """Decision counters, distance-cache counters and executor counters."""
+        """Decision counters and the counters of every executor built."""
         snapshot: Dict[str, int] = dict(self.counters)
-        for key, value in self.distance_cache.counter_snapshot().items():
-            snapshot[f"distance_cache_{key}"] = value
-        for executor in self._iter_executors():
+        for executor in self._executors.values():
             name = getattr(executor, "name", "executor")
             for key, value in executor.counter_snapshot().items():
                 snapshot[f"{name}_{key}"] = value
         return snapshot
 
     def close(self) -> None:
-        """Release every executor the policy built (and any pinned one)."""
-        for executor in self._iter_executors():
+        """Release every executor the policy built."""
+        for executor in self._executors.values():
             executor.close()
         self._executors.clear()
 
@@ -985,18 +782,3 @@ class DispatchPolicy:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-def dispatch_for(context: Any) -> Optional[DispatchPolicy]:
-    """The policy a defense should dispatch through for this context.
-
-    Prefers ``context.dispatch`` (set by the simulation's policy); falls
-    back to a policy pinned to the legacy ``context.executor``; returns
-    ``None`` for bare contexts, which callers treat as plain serial.
-    """
-    dispatch = getattr(context, "dispatch", None)
-    if dispatch is not None:
-        return dispatch
-    executor = getattr(context, "executor", None)
-    if executor is None:
-        return None
-    return DispatchPolicy.for_executor(executor)

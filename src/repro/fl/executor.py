@@ -41,11 +41,7 @@ picklable work functions; callers pass the *name* to
 :class:`FanoutCall` envelopes to its workers, which resolve the name in
 their own registry (importing ``"package.module:fn"``-style names on
 demand).  REFD's per-update D-score inference fans out this way
-(:mod:`repro.defenses.refd`), as do the Krum/Bulyan/FoolsGold distance and
-cosine row blocks of the defense distance plane
-(:mod:`repro.defenses.distances`), whose stacked update matrix is published
-once per call through :meth:`ClientExecutor.publish_arrays` instead of
-being pickled into every envelope.
+(:mod:`repro.defenses.refd`).
 
 Determinism contract
 --------------------
@@ -122,7 +118,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadedExecutor",
     "ParallelExecutor",
-    "build_executor",
     "default_worker_count",
 ]
 
@@ -676,18 +671,6 @@ class ClientExecutor:
             fn = resolve_fanout_fn(fn)
         return [fn(item) for item in items]
 
-    def publish_arrays(self, arrays: Mapping[str, np.ndarray]) -> Optional[SharedArrayStore]:
-        """Publish arrays for by-reference fan-out payloads, when worthwhile.
-
-        Returns a live :class:`SharedArrayStore` (caller owns it and must
-        :meth:`~SharedArrayStore.close` it once the fan-out completes) or
-        ``None`` on backends that share the parent's address space — there
-        is nothing to ship, callers just put the array into the payload.
-        The defense distance plane uses this to ship the round's stacked
-        update matrix once instead of once per row block.
-        """
-        return None
-
     def counter_snapshot(self) -> Dict[str, int]:
         """This executor's observability counters (empty for stateless
         backends).  :meth:`DispatchPolicy.counter_snapshot
@@ -811,10 +794,6 @@ class ParallelExecutor(ClientExecutor):
         inline image/label arrays."""
         self.fanout_calls = 0
         """Number of registered-name work items shipped through :meth:`map_fn`."""
-        self.published_stores = 0
-        """Number of per-call array publications served to defense-side
-        fan-out through :meth:`publish_arrays` (e.g. distance-plane update
-        matrices)."""
         self.pool_rebuilds = 0
         """Number of times a broken or deadline-cut pool was torn down and
         replaced mid-simulation."""
@@ -984,22 +963,11 @@ class ParallelExecutor(ClientExecutor):
         self.fanout_calls += len(calls)
         return results
 
-    def publish_arrays(self, arrays: Mapping[str, np.ndarray]) -> Optional[SharedArrayStore]:
-        if not self.use_shared_memory:
-            return None
-        try:
-            store = SharedArrayStore(arrays, persistent=False)
-        except (ImportError, OSError):  # pragma: no cover - no POSIX shm
-            return None
-        self.published_stores += 1
-        return store
-
     def counter_snapshot(self) -> Dict[str, int]:
         return {
             "shm_rounds": self.shm_rounds,
             "shard_rounds": self.shard_rounds,
             "fanout_calls": self.fanout_calls,
-            "published_stores": self.published_stores,
             "pool_rebuilds": self.pool_rebuilds,
         }
 
@@ -1008,33 +976,3 @@ class ParallelExecutor(ClientExecutor):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-
-_EXECUTOR_KINDS = {
-    "serial": SerialExecutor,
-    "thread": ThreadedExecutor,
-    "process": ParallelExecutor,
-}
-
-
-def build_executor(
-    spec: Union[None, str, ClientExecutor], workers: Optional[int] = None
-) -> ClientExecutor:
-    """Resolve an executor from a name (``serial``/``thread``/``process``),
-    an existing instance (returned as-is), or ``None`` (serial).
-
-    Low-level mechanism used by the dispatch layer; user-facing entry points
-    take a :class:`~repro.fl.dispatch_policy.DispatchPolicy` instead, which
-    decides *when* each backend is worth using.
-    """
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, ClientExecutor):
-        return spec
-    key = str(spec).lower()
-    if key not in _EXECUTOR_KINDS:
-        raise KeyError(
-            f"unknown executor '{spec}'; choose from {sorted(_EXECUTOR_KINDS)}"
-        )
-    if key == "serial":
-        return SerialExecutor()
-    return _EXECUTOR_KINDS[key](workers=workers)

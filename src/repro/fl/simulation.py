@@ -9,7 +9,6 @@ defense, and produces the per-round records from which the paper's metrics
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -88,8 +87,8 @@ class FederatedSimulation:
         avoid leakage).  Only relevant when the defense needs it.
     policy:
         The :class:`~repro.fl.dispatch_policy.DispatchPolicy` routing the
-        round's client fan-out and the defenses' per-update / row-block
-        work — ``DispatchPolicy.serial()`` (``None``, the default),
+        round's client fan-out and REFD's per-update scoring —
+        ``DispatchPolicy.serial()`` (``None``, the default),
         ``DispatchPolicy.fixed("process", workers=4)``,
         ``DispatchPolicy.adaptive()`` (benchmark-calibrated per-call
         decisions), or a spec string like ``"process:4"``.  All backends
@@ -100,12 +99,9 @@ class FederatedSimulation:
         every benign client's round-invariant data shard (and the defense's
         reference arrays) in a once-per-simulation shared-memory
         :class:`~repro.fl.executor.SharedArrayStore`, so per-round task
-        payloads stay tiny.  Defense matrices that change every round (the
-        distance plane's stacked update matrix, REFD's parameter vectors)
-        are not stored here: the executor publishes them per call through
-        :meth:`~repro.fl.executor.ClientExecutor.publish_arrays` and the
-        per-round parameter lease, so the store holds only round-invariant
-        data.
+        payloads stay tiny.  Arrays that change every round (the global
+        parameters) travel through the executor's per-round parameter
+        lease instead, so the store holds only round-invariant data.
     resilience:
         Optional :class:`~repro.fl.faults.ResilienceConfig` enabling the
         fault-tolerant round loop: per-task retries with backoff, a round
@@ -114,11 +110,6 @@ class FederatedSimulation:
         payloads, broken-pool rebuilds — and, when the config carries a
         :class:`~repro.fl.faults.FaultPlan`, deterministic fault injection.
         ``None`` (the default) keeps the zero-overhead hot path.
-    executor, workers:
-        Deprecated — pass ``policy`` instead.  ``executor=`` accepts what
-        it always did (an executor instance or a backend name) and, with
-        ``workers=``, maps onto the equivalent policy with a
-        ``DeprecationWarning``.
     """
 
     def __init__(
@@ -139,8 +130,6 @@ class FederatedSimulation:
         seed: int = 0,
         policy=None,
         resilience: Optional[ResilienceConfig] = None,
-        executor=None,
-        workers: Optional[int] = None,
     ) -> None:
         if num_clients < 2:
             raise ValueError("need at least two clients")
@@ -148,20 +137,6 @@ class FederatedSimulation:
             raise ValueError("clients_per_round must be in [1, num_clients]")
         if not 0.0 <= malicious_fraction < 1.0:
             raise ValueError("malicious_fraction must be in [0, 1)")
-        if executor is not None or workers is not None:
-            warnings.warn(
-                "FederatedSimulation(executor=..., workers=...) is deprecated; "
-                "pass policy=DispatchPolicy.fixed(...) / DispatchPolicy.for_executor(...) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if policy is not None:
-                raise ValueError(
-                    "pass either policy= or the deprecated executor=/workers= "
-                    "arguments, not both"
-                )
-            policy = DispatchPolicy.from_legacy(executor, workers)
         self.task = task
         self.model_factory = model_factory
         self.num_clients = num_clients
@@ -230,7 +205,6 @@ class FederatedSimulation:
             expected_num_malicious=max(expected_malicious, 1),
             reference_dataset=reference_dataset,
             seed=seed + 17,
-            executor=self.executor,
             reference_ref=reference_ref,
             dispatch=self.dispatch,
         )

@@ -115,17 +115,6 @@ class AttackRoundContext:
 class DefenseContext:
     """Server-side information available to a defense when aggregating.
 
-    ``executor`` is the round's client executor (when the simulation runs
-    one); defenses with per-update or per-row-block work may fan out across
-    it via :meth:`~repro.fl.executor.ClientExecutor.map_fn`, passing a name
-    registered with :func:`~repro.fl.executor.register_fanout_fn` so the
-    process backend can ship the work to its pool.  REFD's D-score
-    inference and the Krum/Bulyan/FoolsGold distance plane
-    (:mod:`repro.defenses.distances`) both ride this path; the distance
-    plane additionally publishes the round's stacked update matrix once via
-    :meth:`~repro.fl.executor.ClientExecutor.publish_arrays` so process
-    workers read it from shared memory instead of per-block pickles.
-
     ``reference_ref`` is the shared-memory publication of the reference
     dataset's ``(images, labels)`` arrays (a
     :class:`~repro.fl.executor.ShardRef`), available when the simulation
@@ -133,13 +122,12 @@ class DefenseContext:
     then reference the segment instead of pickling the images per update.
 
     ``dispatch`` is the simulation's
-    :class:`~repro.fl.dispatch_policy.DispatchPolicy`.  Defenses should not
-    probe ``executor`` capabilities themselves — they hand per-update or
-    per-row-block work to
-    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.fanout` (usually via
-    :func:`~repro.fl.dispatch_policy.dispatch_for`, which also adapts
-    legacy contexts that only carry ``executor``) and let the policy pick
-    the backend from its benchmark-calibrated cost model.
+    :class:`~repro.fl.dispatch_policy.DispatchPolicy` (``None`` for bare
+    contexts, which means serial).  A defense with per-update work worth
+    pooling — REFD's D-score inference — hands it to
+    :meth:`~repro.fl.dispatch_policy.DispatchPolicy.fanout` under a name
+    registered with :func:`~repro.fl.executor.register_fanout_fn`, and the
+    policy picks the backend from its benchmark-calibrated cost model.
     """
 
     round_number: int
@@ -148,7 +136,6 @@ class DefenseContext:
     rng: np.random.Generator
     model_factory: Optional[Callable[[], "object"]] = None
     reference_dataset: Optional["object"] = None
-    executor: Optional["object"] = None
     reference_ref: Optional["object"] = None
     dispatch: Optional["object"] = None
 

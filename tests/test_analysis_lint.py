@@ -730,11 +730,38 @@ class TestSelfLint:
         assert report.ok, f"shipped tree has lint findings:\n{rendered}"
         assert report.files_checked > 50
 
-    def test_lint_file_counts_pragma_suppressions(self):
-        distances = REPO_ROOT / "src/repro/defenses/distances.py"
-        kept, suppressed = lint_file(distances, default_rules())
+    def test_lint_file_counts_pragma_suppressions(self, tmp_path):
+        # Three suppressed sites (two DT001 in a distance-plane module, one
+        # ORD002) plus one pragma that matches nothing and must not count.
+        path = tmp_path / "src/repro/defenses/distances.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            textwrap.dedent(
+                """\
+                import numpy as np
+
+                def gram(block, matrix):
+                    # repro: allow[DT001] fixture: dtype-less product
+                    return np.einsum("bd,nd->bn", block, matrix)
+
+                def total(values):
+                    return np.sum(values)  # repro: allow[DT001] fixture
+
+                def rows(pairs):
+                    out = []
+                    # repro: allow[ORD002] fixture: set iteration
+                    for pair in set(pairs):
+                        out.append(pair)
+                    return out
+
+                def clean(values):
+                    return list(values)  # repro: allow[RNG001] matches nothing
+                """
+            )
+        )
+        kept, suppressed = lint_file(path, default_rules())
         assert kept == []
-        assert suppressed >= 3  # the documented DT001/ORD002 pragma sites
+        assert suppressed == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,20 @@
-"""Tests for the unified dispatch policy: cost model, cache, shims, parity."""
+"""Tests for the unified dispatch policy: cost model, parsing, kwargs, parity."""
 
 from __future__ import annotations
 
 import json
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.defenses import Bulyan, Krum
-from repro.defenses.distances import pairwise_cosine_similarities, pairwise_sq_distances
-from repro.experiments import ExperimentRunner, GridRunner, smoke_scale
+from repro.defenses import Bulyan, FoolsGold, Krum
+from repro.experiments import ExperimentRunner, GridRunner, run_experiment, run_grid, smoke_scale
 from repro.experiments.runner import build_simulation
-from repro.fl.dispatch_policy import (
-    BenchRecord,
-    CostModel,
-    DispatchPolicy,
-    DistanceCache,
-    dispatch_for,
-)
-from repro.fl.executor import ParallelExecutor, SerialExecutor, ThreadedExecutor
+from repro.fl import FederatedSimulation
+from repro.fl.dispatch_policy import SITES, BenchRecord, CostModel, DispatchPolicy
+from repro.fl.executor import SerialExecutor, ThreadedExecutor
 from repro.fl.types import DefenseContext, ModelUpdate
 
 LEDGER_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
@@ -129,25 +122,30 @@ class TestCostModel:
         # shm cost 20ms slower than inline -> crossover well above tiny payloads.
         assert model.shm_min_bytes > 1 << 20
 
-    def test_committed_ledger_pins_distance_serial_at_bench_scale(self):
-        # Regression guard for the ledger-documented 0.12x distance-block
-        # fan-out: at bench scale (4 blocks of a 10x100k matrix) the model
-        # built from the committed ledger must keep the row blocks inline.
-        model = CostModel.from_ledger(LEDGER_PATH)
-        backend, reason, _, _ = model.choose(
-            "distance", items=4, work=10 * 10 * 100_000.0, workers=2
-        )
-        assert backend == "serial", reason
-
     def test_adaptive_pairwise_stays_serial_at_bench_scale(self):
+        # The distance plane is plain serial compute: the Krum family and
+        # FoolsGold never consult the policy, so it records nothing and
+        # builds no executor, whatever the ledger says.
+        assert SITES == ("round", "refd", "grid", "train")
         policy = DispatchPolicy.adaptive(
             workers=2, cost_model=CostModel.from_ledger(LEDGER_PATH)
         )
-        matrix = np.random.default_rng(0).normal(size=(10, 4096)).astype(np.float32)
-        pairwise_sq_distances(matrix, dispatch=policy)
-        distance_decisions = [d for d in policy.trace if d.site == "distance"]
-        assert distance_decisions, "distance site never consulted"
-        assert all(d.backend == "serial" for d in distance_decisions)
+        rng = np.random.default_rng(0)
+        updates = [
+            ModelUpdate(client_id=i, parameters=rng.normal(size=4096).astype(np.float32), num_samples=10)
+            for i in range(10)
+        ]
+        context = DefenseContext(
+            round_number=0,
+            global_params=np.zeros(4096, dtype=np.float32),
+            expected_num_malicious=2,
+            rng=np.random.default_rng(0),
+            dispatch=policy,
+        )
+        for defense in (Krum(), Bulyan(), FoolsGold()):
+            defense.aggregate(list(updates), context)
+        assert policy.trace == []
+        assert policy.counter_snapshot()["decisions"] == 0
 
     def test_bad_site_rejected(self):
         with pytest.raises(ValueError):
@@ -159,9 +157,9 @@ class TestParseAndCoerce:
         assert DispatchPolicy.parse("serial").backend == "serial"
         policy = DispatchPolicy.parse("process:4")
         assert policy.backend == "process" and policy.workers == 4
-        policy = DispatchPolicy.parse("adaptive:2,distance=serial")
+        policy = DispatchPolicy.parse("adaptive:2,refd=serial")
         assert policy.is_adaptive and policy.workers == 2
-        assert policy.overrides == {"distance": "serial"}
+        assert policy.overrides == {"refd": "serial"}
         assert DispatchPolicy.parse(None).backend == "serial"
         assert DispatchPolicy.parse("").backend == "serial"
         existing = DispatchPolicy.serial()
@@ -171,54 +169,31 @@ class TestParseAndCoerce:
         with pytest.raises(ValueError):
             DispatchPolicy.parse("bogus")
         with pytest.raises(ValueError):
-            DispatchPolicy.parse("adaptive,distance")
+            DispatchPolicy.parse("adaptive,refd")
         with pytest.raises(ValueError):
             DispatchPolicy.parse("adaptive,bogus=serial")
         with pytest.raises(ValueError):
-            DispatchPolicy.parse("adaptive,distance=bogus")
+            DispatchPolicy.parse("adaptive,refd=bogus")
+        with pytest.raises(ValueError):
+            DispatchPolicy.parse("adaptive,distance=serial")  # site removed
 
     def test_coerce(self):
         assert DispatchPolicy.coerce(None).backend == "serial"
-        executor = SerialExecutor()
-        assert DispatchPolicy.coerce(executor)._pinned is executor
+        existing = DispatchPolicy.fixed("thread", workers=2)
+        assert DispatchPolicy.coerce(existing) is existing
         assert DispatchPolicy.coerce("thread:2").backend == "thread"
-
-    def test_from_legacy_matches_build_executor_semantics(self):
-        # build_executor(None, workers) ignored workers -> serial.
-        assert DispatchPolicy.from_legacy(None, 4).backend == "serial"
-        policy = DispatchPolicy.from_legacy("thread", 2)
-        assert policy.backend == "thread" and policy.workers == 2
+        with pytest.raises(ValueError):
+            DispatchPolicy.coerce(SerialExecutor())  # executors are not policies
 
 
 class TestPinningAndOverrides:
-    def test_for_executor_is_cached_per_instance(self):
-        executor = ThreadedExecutor(workers=2)
-        try:
-            p1 = DispatchPolicy.for_executor(executor)
-            p2 = dispatch_for(SimpleNamespace(dispatch=None, executor=executor))
-            assert p1 is p2
-            decision = p1.decide("refd", items=4, work=1e3)
-            assert decision.backend == "thread"
-            assert p1.executor_for(decision) is executor
-        finally:
-            executor.close()
-
-    def test_dispatch_for_prefers_context_dispatch(self):
-        policy = DispatchPolicy.serial()
-        context = SimpleNamespace(dispatch=policy, executor=ThreadedExecutor(workers=2))
-        try:
-            assert dispatch_for(context) is policy
-            assert dispatch_for(SimpleNamespace(dispatch=None, executor=None)) is None
-        finally:
-            context.executor.close()
-
     def test_overrides_pin_sites(self):
-        policy = DispatchPolicy.adaptive(workers=2, overrides={"distance": "serial"})
-        decision = policy.decide("distance", items=8, work=1e12)
+        policy = DispatchPolicy.adaptive(workers=2, overrides={"refd": "serial"})
+        decision = policy.decide("refd", items=8, work=1e12)
         assert decision.backend == "serial"
         assert "override" in decision.reason
         with pytest.raises(ValueError):
-            DispatchPolicy.adaptive(overrides={"distance": "bogus"})
+            DispatchPolicy.adaptive(overrides={"refd": "bogus"})
         with pytest.raises(ValueError):
             DispatchPolicy.adaptive(overrides={"bogus": "serial"})
 
@@ -233,37 +208,31 @@ class TestPinningAndOverrides:
         snapshot = policy.counter_snapshot()
         assert snapshot["decisions"] == 3
         assert snapshot["serial"] == 3
-        assert "distance_cache_hits" in snapshot
+        # No executor was built, so the snapshot holds only decision counters.
+        assert set(snapshot) == {"decisions", "serial", "thread", "process", "eager", "replay"}
         dicts = policy.trace_dicts()
         assert all({"site", "backend", "reason", "count"} <= set(d) for d in dicts)
 
 
 class TestDeprecationShims:
-    def test_experiment_runner_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="policy="):
-            ExperimentRunner(workers=2)
+    """The deprecated ``executor=``/``workers=`` shims are gone: ``policy=``
+    is the only spelling, and it warns about nothing."""
 
-    def test_grid_runner_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="policy="):
-            GridRunner(workers=2)
-        with pytest.raises(ValueError):
-            GridRunner(workers=0)
-        with pytest.raises(ValueError):
-            GridRunner(workers=2, policy="serial")
-
-    def test_build_simulation_executor_kwarg_warns(self):
+    def test_legacy_kwargs_are_rejected(self):
         config = smoke_scale("fashion-mnist", defense="fedavg")
-        with pytest.warns(DeprecationWarning, match="policy="):
-            simulation = build_simulation(config, executor="thread", workers=2)
-        try:
-            assert isinstance(simulation.executor, ThreadedExecutor)
-        finally:
-            simulation.close()
-
-    def test_policy_and_legacy_kwargs_conflict(self):
-        config = smoke_scale("fashion-mnist", defense="fedavg")
-        with pytest.raises(ValueError):
-            build_simulation(config, executor="thread", policy="serial")
+        calls = [
+            lambda: build_simulation(config, executor="thread"),
+            lambda: build_simulation(config, workers=2),
+            lambda: run_experiment(config, executor="thread"),
+            lambda: ExperimentRunner(workers=2),
+            lambda: ExperimentRunner().run_many([config], workers=2),
+            lambda: GridRunner(workers=2),
+            lambda: run_grid([], workers=2),
+            lambda: FederatedSimulation(None, None, executor="thread"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                call()
 
     def test_policy_kwarg_warns_nothing(self):
         config = smoke_scale("fashion-mnist", defense="fedavg")
@@ -300,106 +269,16 @@ class TestMidRunBackendSwitchParity:
         policy = DispatchPolicy.fixed("serial")
         with build_simulation(config, policy=policy) as simulation:
             simulation.run_round()  # round 1: serial
-            policy.overrides.update(
-                {"round": "thread", "distance": "thread", "refd": "thread"}
-            )
+            policy.overrides.update({"round": "thread", "refd": "thread"})
             policy.workers = 2
             simulation.run_round()  # round 2: threads
-            policy.overrides.update(
-                {"round": "process", "distance": "process", "refd": "process"}
-            )
+            policy.overrides.update({"round": "process", "refd": "process"})
             simulation.run_round()  # round 3: processes
             switched = simulation.server.global_params.copy()
             backends = {d.backend for d in policy.trace}
 
         assert np.array_equal(reference, switched)
         assert {"serial", "thread", "process"} <= backends
-
-
-class TestDistanceCache:
-    def test_row_digests_are_content_exact(self):
-        matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
-        digests = DistanceCache.row_digests(matrix)
-        assert digests == DistanceCache.row_digests(matrix.copy())
-        bumped = matrix.copy()
-        bumped[1, 2] = np.nextafter(bumped[1, 2], np.inf)  # a single ulp
-        assert digests[1] != DistanceCache.row_digests(bumped)[1]
-
-    def test_repeat_call_hits_every_pair(self):
-        rng = np.random.default_rng(1)
-        matrix = rng.normal(size=(6, 64)).astype(np.float32)
-        policy = DispatchPolicy.serial()
-        first = pairwise_sq_distances(matrix, dispatch=policy)
-        hits_before = policy.distance_cache.hits
-        second = pairwise_sq_distances(matrix, dispatch=policy)
-        assert np.array_equal(first, second)
-        assert policy.distance_cache.hits - hits_before == 6 * 7 // 2
-        assert np.array_equal(first, pairwise_sq_distances(matrix))
-
-    def test_mutation_invalidates_exactly_affected_pairs(self):
-        rng = np.random.default_rng(2)
-        matrix = rng.normal(size=(6, 64)).astype(np.float32)
-        policy = DispatchPolicy.serial()
-        pairwise_sq_distances(matrix, dispatch=policy)
-
-        mutated = matrix.copy()
-        mutated[3] += 1.0
-        hits_before = policy.distance_cache.hits
-        misses_before = policy.distance_cache.misses
-        cached = pairwise_sq_distances(mutated, dispatch=policy)
-        # Row 3 participates in 6 of the 21 unordered pairs (incl. (3,3));
-        # the other 15 pairs must come straight from the cache.
-        assert policy.distance_cache.misses - misses_before == 6
-        assert policy.distance_cache.hits - hits_before == 15
-        assert np.array_equal(cached, pairwise_sq_distances(mutated))
-
-    def test_krum_bulyan_selections_bitwise_stable_across_cache_hits(self):
-        rng = np.random.default_rng(3)
-        updates = [
-            ModelUpdate(client_id=i, parameters=rng.normal(size=256).astype(np.float32), num_samples=10)
-            for i in range(8)
-        ]
-        policy = DispatchPolicy.serial()
-
-        def context():
-            return DefenseContext(
-                round_number=0,
-                global_params=np.zeros(256, dtype=np.float32),
-                expected_num_malicious=2,
-                rng=np.random.default_rng(0),
-                dispatch=policy,
-            )
-
-        for defense in (Krum(), Bulyan()):
-            cold = defense.aggregate(list(updates), context())
-            hits_before = policy.distance_cache.hits
-            warm = defense.aggregate(list(updates), context())
-            assert policy.distance_cache.hits > hits_before
-            assert cold.accepted_client_ids == warm.accepted_client_ids
-            assert np.array_equal(cold.new_params, warm.new_params)
-
-    def test_cosine_epsilon_namespaces_do_not_cross_hit(self):
-        rng = np.random.default_rng(4)
-        matrix = rng.normal(size=(5, 64)).astype(np.float64)
-        policy = DispatchPolicy.serial()
-        base = pairwise_cosine_similarities(matrix, epsilon=0.0, dispatch=policy)
-        misses_before = policy.distance_cache.misses
-        other = pairwise_cosine_similarities(matrix, epsilon=1e-3, dispatch=policy)
-        # A different epsilon renormalizes the rows: different namespace,
-        # zero reuse, and the values genuinely differ.
-        assert policy.distance_cache.misses - misses_before == 5 * 6 // 2
-        assert not np.array_equal(base, other)
-        repeat = pairwise_cosine_similarities(matrix, epsilon=1e-3, dispatch=policy)
-        assert np.array_equal(other, repeat)
-
-    def test_fifo_bound_evicts(self):
-        cache = DistanceCache(max_pairs=2)
-        ns = ("sq", 4, "<f8")
-        cache.put(ns, b"a", b"b", 1.0)
-        cache.put(ns, b"a", b"c", 2.0)
-        cache.put(ns, b"a", b"d", 3.0)
-        assert len(cache) == 2
-        assert cache.evictions == 1
 
 
 class TestGridPolicy:

@@ -5,20 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.defenses.distances import (
-    COSINE_BLOCK_FANOUT,
-    DISTANCE_BLOCK_FANOUT,
-    cosine_block,
-    distance_block,
-    pairwise_cosine_similarities,
-    pairwise_sq_distances,
-)
+from repro.defenses.distances import pairwise_cosine_similarities, pairwise_sq_distances
 from repro.fl.executor import (
     ParallelExecutor,
     SerialExecutor,
     ThreadedExecutor,
     pooled_fanout_ready,
-    resolve_fanout_fn,
 )
 
 
@@ -132,54 +124,6 @@ class TestPairwiseCosineSimilarities:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             pairwise_cosine_similarities(np.zeros((2, 2, 2)))
-
-
-class TestFanoutParity:
-    """Every backend must produce bitwise identical matrices."""
-
-    def test_registered_names_resolve(self):
-        assert resolve_fanout_fn(DISTANCE_BLOCK_FANOUT) is distance_block
-        assert resolve_fanout_fn(COSINE_BLOCK_FANOUT) is cosine_block
-
-    def test_thread_fanout_bit_identical(self):
-        matrix = _random_matrix(seed=5)
-        serial = pairwise_sq_distances(matrix)
-        with ThreadedExecutor(workers=3) as executor:
-            threaded = pairwise_sq_distances(matrix, executor=executor)
-        np.testing.assert_array_equal(serial, threaded)
-
-    def test_process_fanout_bit_identical_and_counts(self):
-        matrix = _random_matrix(seed=6)
-        serial = pairwise_sq_distances(matrix)
-        serial_cos = pairwise_cosine_similarities(matrix, epsilon=1e-5)
-        with ParallelExecutor(workers=2) as executor:
-            pooled = pairwise_sq_distances(matrix, executor=executor)
-            assert executor.fanout_calls > 1  # row blocks went through the pool
-            assert executor.published_stores == 1  # the matrix shipped once
-            pooled_cos = pairwise_cosine_similarities(
-                matrix, epsilon=1e-5, executor=executor
-            )
-            assert executor.published_stores == 2
-        np.testing.assert_array_equal(serial, pooled)
-        np.testing.assert_array_equal(serial_cos, pooled_cos)
-
-    def test_process_without_shared_memory_falls_back_to_serial(self):
-        """Inlining the matrix into every block envelope would re-ship it
-        once per block, so the shm opt-out must compute serially instead."""
-        matrix = _random_matrix(seed=7)
-        serial = pairwise_sq_distances(matrix)
-        with ParallelExecutor(workers=2, use_shared_memory=False) as executor:
-            result = pairwise_sq_distances(matrix, executor=executor)
-            assert executor.fanout_calls == 0
-            assert executor.published_stores == 0
-        np.testing.assert_array_equal(serial, result)
-
-    def test_single_block_skips_the_pool(self):
-        matrix = _random_matrix(n=3, seed=8)
-        with ParallelExecutor(workers=2) as executor:
-            result = pairwise_sq_distances(matrix, executor=executor, block_rows=3)
-            assert executor.fanout_calls == 0
-        np.testing.assert_array_equal(result, pairwise_sq_distances(matrix))
 
 
 class TestPooledFanoutReady:

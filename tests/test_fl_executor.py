@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import build_simulation, smoke_scale
+from repro.fl.dispatch_policy import DispatchPolicy
 from repro.fl.executor import (
     FanoutCall,
     ParallelExecutor,
@@ -18,7 +19,6 @@ from repro.fl.executor import (
     SharedParamsLease,
     SharedParamsRef,
     ThreadedExecutor,
-    build_executor,
     register_fanout_fn,
     resolve_fanout_fn,
     resolve_shared_array,
@@ -48,28 +48,13 @@ def _records_signature(result):
     ]
 
 
-def _run_with(executor, num_rounds=2):
-    config = smoke_scale(attack="lie", defense="mkrum", num_rounds=num_rounds)
-    with build_simulation(config, executor=executor) as simulation:
-        return simulation.run(num_rounds)
-
-
-class TestBuildExecutor:
-    def test_none_gives_serial(self):
-        assert isinstance(build_executor(None), SerialExecutor)
-
-    def test_names_resolve(self):
-        assert isinstance(build_executor("serial"), SerialExecutor)
-        assert isinstance(build_executor("thread", workers=2), ThreadedExecutor)
-        assert isinstance(build_executor("process", workers=2), ParallelExecutor)
-
-    def test_instance_passthrough(self):
-        executor = ThreadedExecutor(workers=1)
-        assert build_executor(executor) is executor
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            build_executor("gpu-cluster")
+def _run_with(policy, num_rounds=2, defense="mkrum"):
+    """``(result, counters)`` of a smoke run; ``counters`` is the policy's
+    counter snapshot taken before the simulation releases its executors."""
+    config = smoke_scale(attack="lie", defense=defense, num_rounds=num_rounds)
+    with build_simulation(config, policy=policy) as simulation:
+        result = simulation.run(num_rounds)
+        return result, simulation.dispatch.counter_snapshot()
 
 
 class TestTaskPayload:
@@ -318,42 +303,12 @@ class TestFanoutRegistry:
                 executor.map_fn("tests.test_fl_executor:no-such-fn", [1])
 
 
-class TestPublishArrays:
-    """Per-call array publication for by-reference fan-out payloads."""
-
-    def test_serial_and_thread_publish_nothing(self):
-        arrays = {"m": np.ones((2, 3), dtype=np.float32)}
-        assert SerialExecutor().publish_arrays(arrays) is None
-        with ThreadedExecutor(workers=1) as executor:
-            assert executor.publish_arrays(arrays) is None
-
-    def test_process_publishes_and_counts(self):
-        matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
-        executor = ParallelExecutor(workers=1)
-        store = executor.publish_arrays({"matrix": matrix})
-        try:
-            assert store is not None
-            assert executor.published_stores == 1
-            np.testing.assert_array_equal(
-                resolve_shared_array(store.refs["matrix"]), matrix
-            )
-            assert not store.refs["matrix"].persistent
-        finally:
-            store.close()
-            executor.close()
-
-    def test_shared_memory_opt_out_publishes_nothing(self):
-        executor = ParallelExecutor(workers=1, use_shared_memory=False)
-        assert executor.publish_arrays({"m": np.ones(4)}) is None
-        assert executor.published_stores == 0
-
-
 class TestShardStoreWiring:
     """The simulation publishes shards once and tasks reference them."""
 
     def _process_simulation(self, **overrides):
         config = smoke_scale(num_rounds=1, **overrides)
-        return build_simulation(config, executor=ParallelExecutor(workers=2))
+        return build_simulation(config, policy="process:2")
 
     def test_process_tasks_carry_shard_refs_not_arrays(self):
         simulation = self._process_simulation()
@@ -409,10 +364,10 @@ class TestShardStoreWiring:
 
     def test_shared_memory_opt_out_keeps_inline_arrays(self):
         config = smoke_scale(num_rounds=1)
-        executor = ParallelExecutor(workers=2, use_shared_memory=False)
-        simulation = build_simulation(config, executor=executor)
+        policy = DispatchPolicy.fixed("process", workers=2, use_shared_memory=False)
+        simulation = build_simulation(config, policy=policy)
         try:
-            assert not executor.supports_shard_store
+            assert not simulation.executor.supports_shard_store
             client = next(iter(simulation.benign_clients.values()))
             assert client.shard_ref is None
         finally:
@@ -445,22 +400,21 @@ class TestDeterminism:
     """Same seed ⇒ bit-identical records and parameters across backends."""
 
     def test_serial_twice_is_identical(self):
-        first, second = _run_with(None), _run_with(None)
+        (first, _), (second, _) = _run_with(None), _run_with(None)
         assert _records_signature(first) == _records_signature(second)
         np.testing.assert_array_equal(first.final_params, second.final_params)
 
     def test_threaded_matches_serial(self):
-        serial = _run_with(None)
-        threaded = _run_with(ThreadedExecutor(workers=3))
+        serial, _ = _run_with(None)
+        threaded, _ = _run_with("thread:3")
         assert _records_signature(serial) == _records_signature(threaded)
         np.testing.assert_array_equal(serial.final_params, threaded.final_params)
 
     @pytest.mark.slow
     def test_process_pool_matches_serial_via_shared_memory(self):
-        serial = _run_with(None)
-        executor = ParallelExecutor(workers=4)
-        parallel = _run_with(executor)
-        assert executor.shm_rounds > 0  # the shm fast path actually ran
+        serial, _ = _run_with(None)
+        parallel, counters = _run_with("process:4")
+        assert counters["process_shm_rounds"] > 0  # the shm fast path actually ran
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
@@ -473,51 +427,50 @@ class TestDeterminism:
                 (r.client_id, r.balance, r.confidence, r.score)
                 for r in simulation.server.defense.last_reports
             ]
-        executor = ParallelExecutor(workers=2)
-        with build_simulation(config, executor=executor) as simulation:
+        with build_simulation(config, policy="process:2") as simulation:
             parallel = simulation.run(2)
             parallel_reports = [
                 (r.client_id, r.balance, r.confidence, r.score)
                 for r in simulation.server.defense.last_reports
             ]
-        assert executor.shm_rounds > 0
-        assert executor.shard_rounds > 0
-        assert executor.fanout_calls > 0  # D-scores went through the pool
+            counters = simulation.dispatch.counter_snapshot()
+        assert counters["process_shm_rounds"] > 0
+        assert counters["process_shard_rounds"] > 0
+        assert counters["process_fanout_calls"] > 0  # D-scores went through the pool
         assert serial_reports == parallel_reports
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     def test_process_krum_distance_fanout_matches_serial(self):
-        """Distance-plane fan-out: Krum rounds are bit-identical on the pool."""
-        config = smoke_scale(attack="lie", defense="krum", num_rounds=2)
-        with build_simulation(config) as simulation:
-            serial = simulation.run(2)
-        executor = ParallelExecutor(workers=2)
-        with build_simulation(config, executor=executor) as simulation:
+        """Krum rounds on the process pool are bit-identical to serial; the
+        distance plane itself never fans out (no decision, no pool calls)."""
+        serial, _ = _run_with(None, defense="krum")
+        with build_simulation(
+            smoke_scale(attack="lie", defense="krum", num_rounds=2), policy="process:2"
+        ) as simulation:
             parallel = simulation.run(2)
-        assert executor.fanout_calls > 0  # distance blocks went through the pool
-        assert executor.published_stores > 0  # one matrix publication per round
+            counters = simulation.dispatch.counter_snapshot()
+            sites = {decision.site for decision in simulation.dispatch.trace}
+        assert counters["process_fanout_calls"] == 0
+        assert sites == {"round", "train"}
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     @pytest.mark.slow
     def test_process_bulyan_distance_fanout_matches_serial(self):
-        config = smoke_scale(attack="lie", defense="bulyan", num_rounds=2)
-        with build_simulation(config) as simulation:
-            serial = simulation.run(2)
-        executor = ParallelExecutor(workers=2)
-        with build_simulation(config, executor=executor) as simulation:
-            parallel = simulation.run(2)
-        assert executor.fanout_calls > 0
+        serial, _ = _run_with(None, defense="bulyan")
+        parallel, counters = _run_with("process:2", defense="bulyan")
+        assert counters["process_fanout_calls"] == 0
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
     @pytest.mark.slow
     def test_process_pool_matches_serial_with_inline_params(self):
-        serial = _run_with(None)
-        executor = ParallelExecutor(workers=4, use_shared_memory=False)
-        parallel = _run_with(executor)
-        assert executor.shm_rounds == 0
+        serial, _ = _run_with(None)
+        parallel, counters = _run_with(
+            DispatchPolicy.fixed("process", workers=4, use_shared_memory=False)
+        )
+        assert counters["process_shm_rounds"] == 0
         assert _records_signature(serial) == _records_signature(parallel)
         np.testing.assert_array_equal(serial.final_params, parallel.final_params)
 
@@ -534,8 +487,7 @@ class TestSimulationWiring:
             clients_per_round=3,
             malicious_fraction=0.0,
             training_config=LocalTrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.1),
-            executor="thread",
-            workers=2,
+            policy="thread:2",
         )
         assert isinstance(simulation.executor, ThreadedExecutor)
         result = simulation.run(1)

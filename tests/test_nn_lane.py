@@ -15,7 +15,8 @@ import pytest
 
 from repro import nn
 from repro.defenses import AdaptiveRefd, Refd
-from repro.fl.executor import ParallelExecutor, ShardRef, SharedArrayStore, ThreadedExecutor
+from repro.fl.dispatch_policy import DispatchPolicy
+from repro.fl.executor import ShardRef, SharedArrayStore
 from repro.fl.training import predict_candidates
 from repro.fl.types import DefenseContext, ModelUpdate
 from repro.models import ClassifierFactory
@@ -255,7 +256,7 @@ def _updates(factory, count=5, seed=3):
     ]
 
 
-def _context(task, factory, executor=None, reference_ref=None):
+def _context(task, factory, dispatch=None, reference_ref=None):
     return DefenseContext(
         round_number=0,
         global_params=get_flat_params(factory()),
@@ -263,8 +264,8 @@ def _context(task, factory, executor=None, reference_ref=None):
         rng=np.random.default_rng(0),
         model_factory=factory,
         reference_dataset=task.test,
-        executor=executor,
         reference_ref=reference_ref,
+        dispatch=dispatch,
     )
 
 
@@ -292,9 +293,9 @@ class TestRefdThroughTheLane:
         updates = _updates(FACTORY)
         images, _ = tiny_task.test.arrays()
         serial = defense.score_updates(updates, images, _context(tiny_task, FACTORY))
-        with ThreadedExecutor(workers=2) as executor:
+        with DispatchPolicy.fixed("thread", workers=2) as policy:
             threaded = defense.score_updates(
-                updates, images, _context(tiny_task, FACTORY, executor=executor)
+                updates, images, _context(tiny_task, FACTORY, dispatch=policy)
             )
         assert threaded == serial
 
@@ -307,11 +308,11 @@ class TestRefdThroughTheLane:
             reference_ref = ShardRef(
                 images=store.refs["reference/images"], labels=store.refs["reference/labels"]
             )
-            with ParallelExecutor(workers=2) as executor:
+            with DispatchPolicy.fixed("process", workers=2) as policy:
                 pooled = defense.score_updates(
                     updates,
                     images,
-                    _context(tiny_task, FACTORY, executor=executor, reference_ref=reference_ref),
+                    _context(tiny_task, FACTORY, dispatch=policy, reference_ref=reference_ref),
                 )
-                assert executor.fanout_calls == len(updates)
+                assert policy.counter_snapshot()["process_fanout_calls"] == len(updates)
         assert pooled == serial

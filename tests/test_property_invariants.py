@@ -12,6 +12,7 @@ from repro import nn
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import DirichletPartitioner, IidPartitioner
 from repro.defenses import Bulyan, Median, MultiKrum, TrimmedMean, d_score
+from repro.defenses.distances import pairwise_cosine_similarities, pairwise_sq_distances
 from repro.defenses.krum import krum_scores
 from repro.fl.aggregation import fedavg
 from repro.fl.types import DefenseContext, ModelUpdate
@@ -132,6 +133,31 @@ def test_krum_scores_permutation_equivariance(matrix, seed):
     permutation = np.random.default_rng(seed).permutation(matrix.shape[0])
     permuted_scores = krum_scores(matrix[permutation], 2)
     np.testing.assert_allclose(permuted_scores, scores[permutation], rtol=1e-7, atol=1e-6)
+
+
+@st.composite
+def _matrix_and_permutation(draw):
+    n = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 70))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    elements = st.floats(-1e3, 1e3, width=32 if dtype == np.float32 else 64)
+    matrix = draw(hnp.arrays(dtype, (n, dim), elements=elements))
+    permutation = np.asarray(draw(st.permutations(range(n))), dtype=np.intp)
+    block_rows = draw(st.one_of(st.none(), st.integers(1, n)))
+    return matrix, permutation, block_rows
+
+
+@_SETTINGS
+@given(_matrix_and_permutation())
+def test_distance_planes_are_bitwise_permutation_equivariant(case):
+    """``f(M[p]) == f(M)[p][:, p]`` bit for bit: each pair's reduction
+    depends only on its two rows, never on where they sit in the matrix."""
+    matrix, p, block_rows = case
+    for plane in (
+        lambda m: pairwise_sq_distances(m, block_rows=block_rows),
+        lambda m: pairwise_cosine_similarities(m, epsilon=1e-5, block_rows=block_rows),
+    ):
+        np.testing.assert_array_equal(plane(matrix[p]), plane(matrix)[p][:, p])
 
 
 @_SETTINGS
